@@ -8,11 +8,12 @@
 //
 // Lock-ordering ranks (also declared via SIOT_ACQUIRED_BEFORE where the
 // members are statically nameable; per-shard locks are dynamic and only
-// ordered here and by the index-order convention):
+// ordered here and by the index-order convention). The shard tier is
+// ShardedEngineSet's, shared by both services:
 //   TrustService:   admin_mutex_ -> shard.mutex (ascending shard index)
 //                   -> background_mutex_
 //   ReplicaService: build_mutex_ -> shard.mutex (ascending shard index)
-//                   -> poll_mutex_
+//                   -> rebuild_mutex_ / poll_mutex_
 //   GroupCommitter::mutex_ is a leaf: no other siot lock is ever taken
 //   under it (WAL fds are flushed with it released).
 
@@ -138,8 +139,8 @@ class SIOT_SCOPED_CAPABILITY ReaderLock {
 };
 
 /// Holds every mutex in `mus` shared, acquired in vector order. Used for
-/// the all-shard consistent cut (RebuildOverlaySnapshot /
-/// BuildOverlaySnapshot): a dynamic, loop-acquired lock set is outside
+/// the all-shard consistent cut (ShardedEngineSet::
+/// RebuildOverlaySnapshot): a dynamic, loop-acquired lock set is outside
 /// what the analysis can track, hence the NO_THREAD_SAFETY_ANALYSIS
 /// escapes below.
 ///

@@ -3,10 +3,10 @@
 #include "service/checkpoint_codec.h"
 
 #include <cmath>
-#include <cstring>
 #include <unordered_set>
 #include <utility>
 
+#include "common/byte_io.h"
 #include "common/checksum.h"
 #include "common/string_util.h"
 #include "trust/trust_engine.h"
@@ -30,105 +30,6 @@ constexpr std::size_t kBinaryMagicBytes = 7;
 constexpr std::size_t kBinaryHeaderBytes = 1 + kBinaryMagicBytes + 8 + 4 + 4;
 /// [u8 id][u64 body_len][u32 masked crc32c(body)].
 constexpr std::size_t kSectionHeaderBytes = 1 + 8 + 4;
-
-void PutU16(std::string* out, std::uint16_t v) {
-  for (int i = 0; i < 2; ++i) {
-    out->push_back(static_cast<char>((v >> (8 * i)) & 0xFFu));
-  }
-}
-
-void PutU32(std::string* out, std::uint32_t v) {
-  for (int i = 0; i < 4; ++i) {
-    out->push_back(static_cast<char>((v >> (8 * i)) & 0xFFu));
-  }
-}
-
-void PutU64(std::string* out, std::uint64_t v) {
-  for (int i = 0; i < 8; ++i) {
-    out->push_back(static_cast<char>((v >> (8 * i)) & 0xFFu));
-  }
-}
-
-void PutF64(std::string* out, double v) {
-  // Raw bit pattern, not a decimal rendering: restored state is compared
-  // by byte equality of its re-serialization.
-  std::uint64_t bits = 0;
-  static_assert(sizeof(bits) == sizeof(v));
-  std::memcpy(&bits, &v, sizeof(bits));
-  PutU64(out, bits);
-}
-
-/// Little-endian cursor; every read is bounds-checked so a lying count
-/// or length field surfaces as a failed read, never an out-of-range
-/// access.
-class BinaryReader {
- public:
-  explicit BinaryReader(std::string_view bytes) : bytes_(bytes) {}
-
-  bool ReadU8(std::uint8_t* v) {
-    if (remaining() < 1) return false;
-    *v = static_cast<unsigned char>(bytes_[offset_++]);
-    return true;
-  }
-
-  bool ReadU16(std::uint16_t* v) {
-    if (remaining() < 2) return false;
-    *v = 0;
-    for (int i = 1; i >= 0; --i) {
-      *v = static_cast<std::uint16_t>(
-          (*v << 8) | static_cast<unsigned char>(bytes_[offset_ + i]));
-    }
-    offset_ += 2;
-    return true;
-  }
-
-  bool ReadU32(std::uint32_t* v) {
-    if (remaining() < 4) return false;
-    *v = 0;
-    for (int i = 3; i >= 0; --i) {
-      *v = (*v << 8) | static_cast<unsigned char>(bytes_[offset_ + i]);
-    }
-    offset_ += 4;
-    return true;
-  }
-
-  bool ReadU64(std::uint64_t* v) {
-    if (remaining() < 8) return false;
-    *v = 0;
-    for (int i = 7; i >= 0; --i) {
-      *v = (*v << 8) | static_cast<unsigned char>(bytes_[offset_ + i]);
-    }
-    offset_ += 8;
-    return true;
-  }
-
-  bool ReadF64(double* v) {
-    std::uint64_t bits = 0;
-    if (!ReadU64(&bits)) return false;
-    std::memcpy(v, &bits, sizeof(*v));
-    return true;
-  }
-
-  bool ReadBytes(std::size_t n, std::string* out) {
-    if (remaining() < n) return false;
-    out->assign(bytes_.substr(offset_, n));
-    offset_ += n;
-    return true;
-  }
-
-  bool ReadView(std::size_t n, std::string_view* out) {
-    if (remaining() < n) return false;
-    *out = bytes_.substr(offset_, n);
-    offset_ += n;
-    return true;
-  }
-
-  std::size_t remaining() const { return bytes_.size() - offset_; }
-
- private:
-  std::string_view bytes_;
-  std::size_t offset_ = 0;
-};
 
 const char* SectionName(CheckpointSection id) {
   switch (id) {
@@ -353,7 +254,7 @@ Status CountedSection(const std::string& path, CheckpointSection id,
 Status DecodeCatalogSection(std::string_view body, const std::string& path,
                             trust::TrustEngine* engine) {
   constexpr CheckpointSection kId = CheckpointSection::kCatalog;
-  BinaryReader reader(body);
+  ByteReader reader(body);
   std::uint32_t task_count = 0;
   if (!reader.ReadU32(&task_count)) {
     return SectionCorruption(path, kId, "truncated task count");
@@ -407,7 +308,7 @@ Status DecodeThresholdsSection(std::string_view body,
                                const std::string& path,
                                trust::TrustEngine* engine) {
   constexpr CheckpointSection kId = CheckpointSection::kThresholds;
-  BinaryReader reader(body);
+  ByteReader reader(body);
   double default_theta = 0.0;
   std::uint64_t count = 0;
   if (!reader.ReadF64(&default_theta) || !reader.ReadU64(&count)) {
@@ -451,7 +352,7 @@ Status DecodeThresholdsSection(std::string_view body,
 Status DecodeEnvSection(std::string_view body, const std::string& path,
                         trust::TrustEngine* engine) {
   constexpr CheckpointSection kId = CheckpointSection::kEnv;
-  BinaryReader reader(body);
+  ByteReader reader(body);
   double default_indicator = 0.0;
   std::uint64_t count = 0;
   if (!reader.ReadF64(&default_indicator) || !reader.ReadU64(&count)) {
@@ -498,7 +399,7 @@ Status DecodeEnvSection(std::string_view body, const std::string& path,
 Status DecodeUsageSection(std::string_view body, const std::string& path,
                           trust::TrustEngine* engine) {
   constexpr CheckpointSection kId = CheckpointSection::kUsage;
-  BinaryReader reader(body);
+  ByteReader reader(body);
   std::uint64_t count = 0;
   if (!reader.ReadU64(&count)) {
     return SectionCorruption(path, kId, "truncated section header");
@@ -537,7 +438,7 @@ Status DecodeUsageSection(std::string_view body, const std::string& path,
 Status DecodeRecordsSection(std::string_view body, const std::string& path,
                             trust::TrustEngine* engine) {
   constexpr CheckpointSection kId = CheckpointSection::kRecords;
-  BinaryReader reader(body);
+  ByteReader reader(body);
   std::uint64_t count = 0;
   if (!reader.ReadU64(&count)) {
     return SectionCorruption(path, kId, "truncated section header");
@@ -586,7 +487,7 @@ Status DecodeCheckpointBinaryImpl(std::string_view bytes,
                                   const std::string& path,
                                   std::uint64_t* applied_seq,
                                   trust::TrustEngine* engine) {
-  BinaryReader reader(bytes);
+  ByteReader reader(bytes);
   std::uint8_t format = 0;
   std::string_view magic;
   std::uint32_t section_count = 0;

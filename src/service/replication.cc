@@ -6,7 +6,6 @@
 #include <sys/stat.h>
 #include <unistd.h>
 
-#include <algorithm>
 #include <cerrno>
 #include <limits>
 #include <utility>
@@ -44,14 +43,6 @@ StatusOr<std::string> ReadRange(int fd, std::uint64_t offset,
   return bytes;
 }
 
-Status ValidateAgent(trust::AgentId agent, const char* role) {
-  if (agent == trust::kNoAgent) {
-    return Status::InvalidArgument(std::string(role) +
-                                   " is the kNoAgent sentinel");
-  }
-  return Status::OK();
-}
-
 Status ReadOnly(const char* what) {
   return Status::FailedPrecondition(
       std::string("replica is read-only: ") + what +
@@ -62,20 +53,14 @@ Status ReadOnly(const char* what) {
 
 ReplicaService::ReplicaService(const TrustServiceConfig& config,
                                const ReplicaOptions& options)
-    : config_(config), options_(options) {
-  config_.shard_count = std::max<std::size_t>(config.shard_count, 1);
-  shards_.reserve(config_.shard_count);
-  for (std::size_t s = 0; s < config_.shard_count; ++s) {
-    auto shard = std::make_unique<ReplicaShard>();
-    {
-      // Pre-concurrency, but the guarded write stays provable (and the
-      // lock is uncontended here).
-      const WriterLock lock(&shard->mutex);
-      shard->engine = std::make_unique<trust::TrustEngine>(config_.engine);
-    }
-    shard->wal_path = ShardWalPath(options_.directory, s);
-    shard->checkpoint_path = ShardCheckpointPath(options_.directory, s);
-    shards_.push_back(std::move(shard));
+    : config_(config),
+      options_(options),
+      engines_(std::type_identity<FollowerShard>{}, config.shard_count,
+               config.engine) {
+  config_.shard_count = engines_.shard_count();
+  for (std::size_t s = 0; s < shard_count(); ++s) {
+    ShardAt(s).wal_path = ShardWalPath(options_.directory, s);
+    ShardAt(s).checkpoint_path = ShardCheckpointPath(options_.directory, s);
   }
 }
 
@@ -84,8 +69,8 @@ ReplicaService::~ReplicaService() {
   StopPollThread();
   // Both background threads are joined; the locks below are uncontended
   // and keep the guarded fd reads provable.
-  for (const auto& shard_ptr : shards_) {
-    ReplicaShard& shard = *shard_ptr;
+  for (std::size_t s = 0; s < shard_count(); ++s) {
+    FollowerShard& shard = ShardAt(s);
     const WriterLock lock(&shard.mutex);
     if (shard.fd >= 0) ::close(shard.fd);
   }
@@ -108,7 +93,7 @@ StatusOr<std::unique_ptr<ReplicaService>> ReplicaService::Open(
   SIOT_ASSIGN_OR_RETURN(const std::string existing,
                         ReadFileToString(manifest_path));
   if (existing !=
-      BuildServiceManifest(replica->shards_.size(), replica->config_)) {
+      BuildServiceManifest(replica->shard_count(), replica->config_)) {
     return Status::InvalidArgument(
         "directory " + options.directory +
         " was created under a different service configuration (shard "
@@ -116,8 +101,8 @@ StatusOr<std::unique_ptr<ReplicaService>> ReplicaService::Open(
         "silently diverge");
   }
   // Restore the latest per-shard checkpoint, then catch up the WAL tails.
-  for (auto& shard_ptr : replica->shards_) {
-    ReplicaShard& shard = *shard_ptr;
+  for (std::size_t s = 0; s < replica->shard_count(); ++s) {
+    FollowerShard& shard = replica->ShardAt(s);
     if (!FileExists(shard.checkpoint_path)) continue;
     const WriterLock lock(&shard.mutex);
     SIOT_RETURN_IF_ERROR(replica->RewindLocked(
@@ -128,7 +113,7 @@ StatusOr<std::unique_ptr<ReplicaService>> ReplicaService::Open(
   }
   if (options.poll_period.count() > 0) replica->StartPollThread();
   if (options.overlay_graph != nullptr) {
-    SIOT_RETURN_IF_ERROR(replica->overlay_.Configure(
+    SIOT_RETURN_IF_ERROR(replica->engines_.EnableTransitiveServing(
         options.overlay_graph, options.transitivity));
     if (options.snapshot_rebuild_period.count() > 0) {
       replica->StartRebuildThread();
@@ -149,7 +134,7 @@ Status ReplicaService::CheckServing() const {
 }
 
 bool ReplicaService::CheckpointReplacedLocked(
-    const ReplicaShard& shard) const {
+    const FollowerShard& shard) const {
   struct ::stat st;
   if (::stat(shard.checkpoint_path.c_str(), &st) != 0) return false;
   if (!shard.checkpoint_loaded) return true;
@@ -157,7 +142,7 @@ bool ReplicaService::CheckpointReplacedLocked(
          static_cast<std::uint64_t>(st.st_size) != shard.checkpoint_bytes;
 }
 
-Status ReplicaService::RewindLocked(ReplicaShard& shard, bool require_newer,
+Status ReplicaService::RewindLocked(FollowerShard& shard, bool require_newer,
                                     const std::string& why) {
   if (!FileExists(shard.checkpoint_path)) {
     return Status::Corruption(StrFormat(
@@ -220,7 +205,7 @@ Status ReplicaService::RewindLocked(ReplicaShard& shard, bool require_newer,
   return Status::OK();
 }
 
-StatusOr<std::size_t> ReplicaService::PollShardLocked(ReplicaShard& shard) {
+StatusOr<std::size_t> ReplicaService::PollShardLocked(FollowerShard& shard) {
   const std::size_t limit = options_.max_frames_per_poll == 0
                                 ? std::numeric_limits<std::size_t>::max()
                                 : options_.max_frames_per_poll;
@@ -348,8 +333,9 @@ StatusOr<std::size_t> ReplicaService::PollAll() {
     if (!tail_status_.ok()) return tail_status_;
   }
   std::size_t total = 0;
-  for (const auto& shard_ptr : shards_) {
-    ReplicaShard& shard = *shard_ptr;
+  Status failure;
+  for (std::size_t s = 0; s < shard_count() && failure.ok(); ++s) {
+    FollowerShard& shard = ShardAt(s);
     const WriterLock lock(&shard.mutex);
     const auto polled = PollShardLocked(shard);
     if (!polled.ok()) {
@@ -357,10 +343,14 @@ StatusOr<std::size_t> ReplicaService::PollAll() {
       // rank 2, poll_mutex_ rank 3 (see the member's comment).
       const MutexLock g(&poll_mutex_);
       if (tail_status_.ok()) tail_status_ = polled.status();
-      return polled.status();
+      failure = polled.status();
+    } else {
+      total += polled.value();
     }
-    total += polled.value();
   }
+  // Even a failed pass may have applied registrations on earlier shards.
+  engines_.PublishTaskBound();
+  SIOT_RETURN_IF_ERROR(failure);
   return total;
 }
 
@@ -381,12 +371,12 @@ Status ReplicaService::AwaitPositions(
     }
     bool reached = true;
     for (const ShardWalPosition& target : targets) {
-      if (target.shard >= shards_.size()) {
+      if (target.shard >= shard_count()) {
         return Status::InvalidArgument(
             StrFormat("target shard %zu out of range (%zu shards)",
-                      target.shard, shards_.size()));
+                      target.shard, shard_count()));
       }
-      const ReplicaShard& shard = *shards_[target.shard];
+      const FollowerShard& shard = ShardAt(target.shard);
       const ReaderLock lock(&shard.mutex);
       if (shard.applied_seq < target.last_seq) {
         reached = false;
@@ -412,9 +402,9 @@ Status ReplicaService::TailStatus() const {
 
 std::vector<ShardReplicationLag> ReplicaService::ReplicationLag() const {
   std::vector<ShardReplicationLag> lags;
-  lags.reserve(shards_.size());
-  for (std::size_t s = 0; s < shards_.size(); ++s) {
-    const ReplicaShard& shard = *shards_[s];
+  lags.reserve(shard_count());
+  for (std::size_t s = 0; s < shard_count(); ++s) {
+    const FollowerShard& shard = ShardAt(s);
     const ReaderLock lock(&shard.mutex);
     ShardReplicationLag lag;
     lag.shard = s;
@@ -460,92 +450,20 @@ std::vector<ShardReplicationLag> ReplicaService::ReplicationLag() const {
 
 // ----------------------------------------- transitive read surface --
 
-const trust::TrustEngine& ReplicaService::EngineOfShardAllLocked(
-    const ReplicaShard& shard) const {
-  // Provably held: only called under BuildOverlaySnapshot's
-  // MultiReaderLock, which holds every shard's shared lock. The dynamic
-  // lock set is opaque to the thread-safety analysis, so each access
-  // re-asserts the one capability it needs in straight-line code.
-  shard.mutex.AssertReaderHeld();
-  return *shard.engine;
-}
-
-std::uint64_t ReplicaService::AppliedSeqOfShardAllLocked(
-    const ReplicaShard& shard) const {
-  shard.mutex.AssertReaderHeld();
-  return shard.applied_seq;
-}
-
 Status ReplicaService::BuildOverlaySnapshot() {
   SIOT_RETURN_IF_ERROR(CheckServing());
-  const std::shared_ptr<const graph::Graph> graph = overlay_.graph();
-  if (graph == nullptr) {
-    return Status::FailedPrecondition(
-        "transitive serving not enabled (set "
-        "ReplicaOptions::overlay_graph)");
-  }
   // One assembly at a time (owner-driven rebuilds can race the
-  // background thread); queries are untouched by this mutex.
+  // background thread); queries are untouched by this mutex. Holding the
+  // shard read locks for the assembly stalls only this follower's tailer
+  // (bounded extra staleness); the LEADER's shard locks are never taken.
   const MutexLock build_lock(&build_mutex_);
-  const auto assembly_start = std::chrono::steady_clock::now();
-  std::shared_ptr<const trust::VersionedOverlaySnapshot> built;
-  {
-    // Freeze ONE consistent cut: all shard shared locks held
-    // simultaneously for the whole assembly + version stamp. The tailer
-    // applies frames under per-shard EXCLUSIVE locks one shard at a
-    // time, so per-shard reads at different times could stamp an
-    // applied_seq vector no single moment of this follower ever was in
-    // (e.g. an admin write — replicated shard by shard — half-applied).
-    // Holding the read locks stalls only this follower's tailer for the
-    // assembly (bounded extra staleness); the LEADER's shard locks are
-    // never taken. Deadlock-free: the tailer and the read surface hold
-    // at most one shard lock at a time, and acquisition here is in
-    // fixed index order (MultiReaderLock's class comment carries the
-    // full argument). Guarded reads under the dynamic lock set go
-    // through the *AllLocked helpers, which re-assert the one shard
-    // capability each access needs.
-    std::vector<SharedMutex*> mutexes;
-    mutexes.reserve(shards_.size());
-    for (const auto& shard : shards_) mutexes.push_back(&shard->mutex);
-    const MultiReaderLock all_shards(std::move(mutexes));
-    std::vector<const trust::TrustStore*> stores;
-    trust::SnapshotVersion version;
-    stores.reserve(shards_.size());
-    version.applied_seq.reserve(shards_.size());
-    for (const auto& shard : shards_) {
-      stores.push_back(&EngineOfShardAllLocked(*shard).store());
-      version.applied_seq.push_back(AppliedSeqOfShardAllLocked(*shard));
-    }
-    // Admin state replicates to shard 0 first, so its catalog is the
-    // most complete; a task some other shard has not applied yet cannot
-    // have records there either (registration precedes use in every
-    // shard's WAL order).
-    const trust::ShardedStoreOverlay source(
-        std::move(stores), EngineOfShardAllLocked(*shards_[0]).normalizer(),
-        [count = shards_.size()](trust::AgentId trustor) {
-          return ShardIndexForTrustor(trustor, count);
-        });
-    built = std::make_shared<trust::VersionedOverlaySnapshot>(
-        graph, EngineOfShardAllLocked(*shards_[0]).catalog(), source,
-        std::move(version));
-  }  // Locks drop here; hop-cache preparation below runs lock-free.
-  const auto assembly_cost =
-      std::chrono::duration_cast<std::chrono::milliseconds>(
-          std::chrono::steady_clock::now() - assembly_start);
-  return overlay_.Publish(std::move(built), assembly_cost);
-}
-
-StatusOr<TransitiveTrustResult> ReplicaService::TransitiveTrust(
-    const TransitiveTrustRequest& request) const {
-  SIOT_RETURN_IF_ERROR(CheckServing());
-  return overlay_.Query(request);
-}
-
-StatusOr<std::vector<TransitiveTrustResult>>
-ReplicaService::BatchTransitiveTrust(
-    std::span<const TransitiveTrustRequest> requests) const {
-  SIOT_RETURN_IF_ERROR(CheckServing());
-  return overlay_.BatchQuery(requests);
+  return engines_.RebuildOverlaySnapshot(
+      [](const ShardedEngineSet::Shard& base) -> std::uint64_t {
+        // Under the set's all-shard MultiReaderLock; see SeqOfShard.
+        const auto& shard = static_cast<const FollowerShard&>(base);
+        shard.mutex.AssertReaderHeld();
+        return shard.applied_seq;
+      });
 }
 
 Status ReplicaService::OverlayRebuildStatus() const {
@@ -631,92 +549,6 @@ void ReplicaService::StopPollThread() {
   }
   poll_cv_.NotifyAll();
   if (poll_thread_.joinable()) poll_thread_.join();
-}
-
-// --------------------------------------------------------- read surface --
-
-Status ReplicaService::ValidateTaskLocked(const ReplicaShard& shard,
-                                          trust::TaskId task) const {
-  if (static_cast<std::size_t>(task) >= shard.engine->catalog().size()) {
-    return Status::InvalidArgument(
-        "task id " + std::to_string(task) +
-        " is not registered (or its registration has not replicated to "
-        "this follower yet)");
-  }
-  return Status::OK();
-}
-
-StatusOr<double> ReplicaService::PreEvaluate(trust::AgentId trustor,
-                                             trust::AgentId trustee,
-                                             trust::TaskId task) const {
-  SIOT_RETURN_IF_ERROR(CheckServing());
-  SIOT_RETURN_IF_ERROR(ValidateAgent(trustor, "trustor"));
-  SIOT_RETURN_IF_ERROR(ValidateAgent(trustee, "trustee"));
-  pre_evaluations_.fetch_add(1, std::memory_order_relaxed);
-  const ReplicaShard& shard =
-      *shards_[ShardIndexForTrustor(trustor, shards_.size())];
-  const ReaderLock lock(&shard.mutex);
-  SIOT_RETURN_IF_ERROR(ValidateTaskLocked(shard, task));
-  return shard.engine->PreEvaluate(trustor, trustee, task);
-}
-
-StatusOr<trust::DelegationRequestResult> ReplicaService::RequestDelegation(
-    const DelegationServiceRequest& request) const {
-  SIOT_RETURN_IF_ERROR(CheckServing());
-  SIOT_RETURN_IF_ERROR(ValidateAgent(request.trustor, "trustor"));
-  for (const trust::AgentId candidate : request.candidates) {
-    SIOT_RETURN_IF_ERROR(ValidateAgent(candidate, "candidate"));
-  }
-  delegation_requests_.fetch_add(1, std::memory_order_relaxed);
-  const ReplicaShard& shard =
-      *shards_[ShardIndexForTrustor(request.trustor, shards_.size())];
-  const ReaderLock lock(&shard.mutex);
-  SIOT_RETURN_IF_ERROR(ValidateTaskLocked(shard, request.task));
-  return shard.engine->RequestDelegation(request.trustor, request.task,
-                                         request.candidates,
-                                         request.self_estimates);
-}
-
-StatusOr<std::vector<double>> ReplicaService::BatchPreEvaluate(
-    std::span<const PreEvaluateRequest> requests) const {
-  SIOT_RETURN_IF_ERROR(CheckServing());
-  for (const PreEvaluateRequest& request : requests) {
-    SIOT_RETURN_IF_ERROR(ValidateAgent(request.trustor, "trustor"));
-    SIOT_RETURN_IF_ERROR(ValidateAgent(request.trustee, "trustee"));
-  }
-  pre_evaluations_.fetch_add(requests.size(), std::memory_order_relaxed);
-  std::vector<double> results(requests.size());
-  std::vector<std::vector<std::size_t>> buckets(shards_.size());
-  for (std::size_t i = 0; i < requests.size(); ++i) {
-    buckets[ShardIndexForTrustor(requests[i].trustor, shards_.size())]
-        .push_back(i);
-  }
-  for (std::size_t s = 0; s < buckets.size(); ++s) {
-    if (buckets[s].empty()) continue;
-    const ReplicaShard& shard = *shards_[s];
-    const ReaderLock lock(&shard.mutex);
-    for (const std::size_t i : buckets[s]) {
-      SIOT_RETURN_IF_ERROR(ValidateTaskLocked(shard, requests[i].task));
-      results[i] = shard.engine->PreEvaluate(
-          requests[i].trustor, requests[i].trustee, requests[i].task);
-    }
-  }
-  return results;
-}
-
-TrustServiceStats ReplicaService::Stats() const {
-  TrustServiceStats stats;
-  stats.shard_count = shards_.size();
-  stats.pre_evaluations = pre_evaluations_.load(std::memory_order_relaxed);
-  stats.delegation_requests =
-      delegation_requests_.load(std::memory_order_relaxed);
-  for (const auto& shard_ptr : shards_) {
-    const ReplicaShard& shard = *shard_ptr;
-    const ReaderLock lock(&shard.mutex);
-    stats.record_count += shard.engine->store().size();
-    stats.pair_count += shard.engine->store().pair_count();
-  }
-  return stats;
 }
 
 // --------------------------------------------- rejected mutation surface --

@@ -43,9 +43,16 @@
 // the WALs, so the promoted service serves them all: zero
 // acknowledged-write loss.
 //
-// Thread safety: all public methods are safe to call concurrently; each
-// shard has a shared_mutex (reads shared, tailing exclusive), mirroring
-// TrustService.
+// Reads: the follower composes the same ShardedEngineSet as the leader,
+// so its read surface (PreEvaluate, RequestDelegation, both batches, and
+// §4.3 transitive reads) is the leader's code under the leader's error
+// contract — see service/sharded_engine_set.h. A task becomes valid here
+// once EVERY shard of this follower has applied its registration: the
+// task bound is republished after every poll, failed polls included.
+//
+// Thread safety: all public methods are safe to call concurrently; the
+// tailer applies frames under a shard's exclusive lock, reads take it
+// shared.
 
 #ifndef SIOT_SERVICE_REPLICATION_H_
 #define SIOT_SERVICE_REPLICATION_H_
@@ -65,6 +72,7 @@
 #include "graph/graph.h"
 #include "service/overlay_serving.h"
 #include "service/persistence.h"
+#include "service/sharded_engine_set.h"
 #include "service/trust_service.h"
 #include "trust/trust_engine.h"
 
@@ -158,41 +166,62 @@ class ReplicaService {
   /// contents. Advisory: the leader may append concurrently.
   std::vector<ShardReplicationLag> ReplicationLag() const;
 
-  // -------------------------------------- transitive read surface --
-  // THE production home of §4.3 transitive serving: the follower holds
-  // every shard's replicated state, tolerates staleness by design, and
-  // its rebuild holds only FOLLOWER shard locks — the leader's write
-  // path is never touched. Answers carry the snapshot version (the
-  // per-shard applied_seq vector) + age; OverlayInfo() reports the same
-  // alongside ReplicationLag() for monitoring.
+  // -------------------------------------------------------- read surface --
+  // ShardedEngineSet's contract (service/sharded_engine_set.h), plus
+  // FailedPrecondition from every read once Promote() succeeded.
+  // RequestDelegation is a ranking query: the resulting delegation
+  // outcome must be reported to the LEADER.
 
-  /// Assembles + publishes a fresh overlay snapshot from the replicated
-  /// shard stores. The applied_seq version vector is frozen under ONE
-  /// simultaneous all-shard shared-lock hold — a consistent cut the
-  /// tailer (which applies under per-shard exclusive locks) can never
-  /// split. The expensive hop-cache preparation runs after the locks
-  /// drop; readers of the previous snapshot never block.
-  /// FailedPrecondition without ReplicaOptions::overlay_graph or after
-  /// Promote().
+  StatusOr<double> PreEvaluate(trust::AgentId trustor,
+                               trust::AgentId trustee,
+                               trust::TaskId task) const {
+    SIOT_RETURN_IF_ERROR(CheckServing());
+    return engines_.PreEvaluate(trustor, trustee, task);
+  }
+  StatusOr<trust::DelegationRequestResult> RequestDelegation(
+      const DelegationServiceRequest& request) const {
+    SIOT_RETURN_IF_ERROR(CheckServing());
+    return engines_.RequestDelegation(request);
+  }
+  StatusOr<std::vector<double>> BatchPreEvaluate(
+      std::span<const PreEvaluateRequest> requests) const {
+    SIOT_RETURN_IF_ERROR(CheckServing());
+    return engines_.BatchPreEvaluate(requests);
+  }
+  StatusOr<std::vector<trust::DelegationRequestResult>>
+  BatchRequestDelegation(
+      std::span<const DelegationServiceRequest> requests) const {
+    SIOT_RETURN_IF_ERROR(CheckServing());
+    return engines_.BatchRequestDelegation(requests);
+  }
+
+  // §4.3 transitive reads. The follower is THE production home of this
+  // path: it holds every shard's replicated state, tolerates staleness by
+  // design, and its rebuild holds only FOLLOWER shard locks — the
+  // leader's write path is never touched. Answers carry the snapshot
+  // version (the per-shard applied_seq vector) + age; OverlayInfo()
+  // reports the same alongside ReplicationLag() for monitoring.
+
+  /// ShardedEngineSet::RebuildOverlaySnapshot, stamped with the
+  /// per-shard applied_seq vector — a cut the tailer (which applies under
+  /// per-shard exclusive locks) can never split. FailedPrecondition
+  /// without ReplicaOptions::overlay_graph or after Promote().
   Status BuildOverlaySnapshot();
 
-  /// Transitive trust query against the published snapshot.
   StatusOr<TransitiveTrustResult> TransitiveTrust(
-      const TransitiveTrustRequest& request) const;
-
-  /// Batched variant: whole-batch validation, atomic rejection, every
-  /// answer from one snapshot.
+      const TransitiveTrustRequest& request) const {
+    SIOT_RETURN_IF_ERROR(CheckServing());
+    return engines_.TransitiveTrust(request);
+  }
   StatusOr<std::vector<TransitiveTrustResult>> BatchTransitiveTrust(
-      std::span<const TransitiveTrustRequest> requests) const;
-
-  /// Version/age/size of the served snapshot (built=false before the
-  /// first successful build).
-  OverlaySnapshotInfo OverlayInfo() const { return overlay_.Info(); }
-
-  /// The served snapshot bundle (null before the first build).
+      std::span<const TransitiveTrustRequest> requests) const {
+    SIOT_RETURN_IF_ERROR(CheckServing());
+    return engines_.BatchTransitiveTrust(requests);
+  }
+  OverlaySnapshotInfo OverlayInfo() const { return engines_.OverlayInfo(); }
   std::shared_ptr<const trust::VersionedOverlaySnapshot>
   CurrentOverlaySnapshot() const {
-    return overlay_.CurrentSnapshot();
+    return engines_.CurrentOverlaySnapshot();
   }
 
   /// Last error of the background rebuild thread, if any (OK otherwise
@@ -200,33 +229,12 @@ class ReplicaService {
   /// the previous snapshot.
   Status OverlayRebuildStatus() const;
 
-  // ------------------------------------------------------ read surface --
+  TrustServiceStats Stats() const { return engines_.Stats(); }
+  std::size_t shard_count() const { return engines_.shard_count(); }
 
-  /// Pre-evaluation TW_X←Y(τ) (shared lock on the trustor's shard).
-  StatusOr<double> PreEvaluate(trust::AgentId trustor,
-                               trust::AgentId trustee,
-                               trust::TaskId task) const;
-
-  /// Delegation RANKING query: strategy-aware Eq. 23/24 ranking over the
-  /// replicated estimates. Read-only (the engine call is const); the
-  /// resulting delegation outcome must be reported to the LEADER.
-  StatusOr<trust::DelegationRequestResult> RequestDelegation(
-      const DelegationServiceRequest& request) const;
-
-  /// Batched pre-evaluation, one lock acquisition per touched shard.
-  StatusOr<std::vector<double>> BatchPreEvaluate(
-      std::span<const PreEvaluateRequest> requests) const;
-
-  TrustServiceStats Stats() const;
-  std::size_t shard_count() const { return shards_.size(); }
-
-  /// Direct engine access for tests and offline inspection. NOT
-  /// synchronized — the caller must guarantee no concurrent use.
-  /// Justified escape: the documented caller-synchronized test hook,
-  /// same contract as TrustService::shard_engine.
-  const trust::TrustEngine& shard_engine(std::size_t shard) const
-      SIOT_NO_THREAD_SAFETY_ANALYSIS {
-    return *shards_[shard]->engine;
+  /// Caller-synchronized test hook; see ShardedEngineSet::shard_engine.
+  const trust::TrustEngine& shard_engine(std::size_t shard) const {
+    return engines_.shard_engine(shard);
   }
 
   // -------------------------------------- rejected mutation surface --
@@ -259,12 +267,10 @@ class ReplicaService {
       const PersistenceOptions& options);
 
  private:
-  struct ReplicaShard {
-    mutable SharedMutex mutex;
-    /// The tailer's exclusive-apply path mutates the pointee; RewindLocked
-    /// even reseats the pointer (checkpoint reload builds a fresh
-    /// engine), so the POINTER is guarded too, unlike the leader's.
-    std::unique_ptr<trust::TrustEngine> engine SIOT_GUARDED_BY(mutex);
+  /// The follower's role state (tail position and checkpoint identity),
+  /// guarded by the shard's own mutex. RewindLocked reseats the engine.
+  struct FollowerShard : ShardedEngineSet::Shard {
+    using Shard::Shard;
     std::string wal_path;         ///< Set once at construction.
     std::string checkpoint_path;  ///< Set once at construction.
     /// Tailing descriptor (WAL inode survives truncation).
@@ -292,38 +298,28 @@ class ReplicaService {
   ReplicaService(const TrustServiceConfig& config,
                  const ReplicaOptions& options);
 
+  FollowerShard& ShardAt(std::size_t s) const {
+    return engines_.shard<FollowerShard>(s);
+  }
+
   /// One tailing pass over one shard; caller holds the exclusive lock.
-  StatusOr<std::size_t> PollShardLocked(ReplicaShard& shard)
+  StatusOr<std::size_t> PollShardLocked(FollowerShard& shard)
       SIOT_REQUIRES(shard.mutex);
 
   /// Reloads the shard from the checkpoint on disk and rewinds the read
   /// offset to 0 (the truncation-race path). `require_newer` demands the
   /// checkpoint advanced past the one already loaded — the only way a
   /// decode failure is legitimately explained; otherwise it is corruption.
-  Status RewindLocked(ReplicaShard& shard, bool require_newer,
+  Status RewindLocked(FollowerShard& shard, bool require_newer,
                       const std::string& why) SIOT_REQUIRES(shard.mutex);
 
   /// True when the checkpoint file on disk is not the one this shard
   /// loaded (a leader checkpoint replaced it since).
-  bool CheckpointReplacedLocked(const ReplicaShard& shard) const
+  bool CheckpointReplacedLocked(const FollowerShard& shard) const
       SIOT_REQUIRES_SHARED(shard.mutex);
 
   /// FailedPrecondition once Promote succeeded.
   Status CheckServing() const;
-
-  /// InvalidArgument unless `task` is registered in `shard`'s replicated
-  /// catalog; caller holds at least a shared lock on the shard.
-  Status ValidateTaskLocked(const ReplicaShard& shard,
-                            trust::TaskId task) const
-      SIOT_REQUIRES_SHARED(shard.mutex);
-
-  /// Guarded reads used by BuildOverlaySnapshot, whose MultiReaderLock
-  /// holds EVERY shard's lock shared but as a dynamic set the analysis
-  /// cannot track; each helper re-asserts the one capability its access
-  /// needs (the assert-capability audit — see MultiReaderLock).
-  const trust::TrustEngine& EngineOfShardAllLocked(
-      const ReplicaShard& shard) const;
-  std::uint64_t AppliedSeqOfShardAllLocked(const ReplicaShard& shard) const;
 
   void StartPollThread();
   void StopPollThread();
@@ -332,9 +328,8 @@ class ReplicaService {
 
   TrustServiceConfig config_;
   ReplicaOptions options_;
-  std::vector<std::unique_ptr<ReplicaShard>> shards_;
-  /// Snapshot-backed transitive read path (overlay_graph option).
-  OverlaySnapshotIndex overlay_;
+  /// The shard tier: engines, routing, validation and the read surface.
+  ShardedEngineSet engines_;
   /// Serializes snapshot assemblies (owner-driven vs background thread).
   /// Lock rank 1 of 3: build_mutex_ → shard.mutex (ascending index) →
   /// poll_mutex_. The shard tier is per-instance/dynamic, so only this
@@ -354,8 +349,6 @@ class ReplicaService {
   /// Sticky first tailer corruption.
   Status tail_status_ SIOT_GUARDED_BY(poll_mutex_);
   std::atomic<bool> promoted_{false};
-  mutable std::atomic<std::uint64_t> pre_evaluations_{0};
-  mutable std::atomic<std::uint64_t> delegation_requests_{0};
 };
 
 }  // namespace siot::service

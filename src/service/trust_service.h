@@ -1,32 +1,21 @@
 // Copyright 2026 The siot-trust Authors.
-// TrustService: the concurrent serving layer over the trust model.
-//
-// The engine-level components (TrustEngine and everything below it) are
-// deliberately single-threaded; this layer makes them serve heavy mixed
-// read/write traffic. The design exploits a locality fact of the paper's
-// model: every piece of state an operation for trustor X touches is keyed
-// by X —
-//   * X's outcome estimates live under (X, trustee, task) in the store,
-//   * the reverse-evaluation usage history a trustee keeps about X is
-//     keyed (trustee, X) and is only ever consulted for X's own requests,
-//   * delegation requests read, and outcome reports write, only X's rows.
-// So the service shards BY TRUSTOR: each shard owns a full TrustEngine and
-// a striped siot::SharedMutex. Queries (PreEvaluate, RequestDelegation —
-// read-only since the Eq. 23/24 rework) take the shard's lock shared, so
-// the read-mostly steady state serves concurrently; outcome reports take
-// it exclusive. Operations for different trustors never contend on state,
-// only on stripe co-residency.
-//
-// Cross-trustor configuration (task catalog, reverse-evaluation thresholds,
-// environment indicators) is replicated to every shard under a global
-// admin mutex; these are rare control-plane writes.
-//
-// Batch APIs group a request vector by shard and take each shard lock once
-// per batch, which is what the throughput bench drives. Results always
-// come back in input order. Because shards share no data-plane state, a
-// multi-threaded run over any partition of the trustors is equivalent to a
-// single-threaded run of the same per-trustor operation sequences — the
-// service and bench tests assert exactly that.
+// TrustService: the leader — the writable serving layer over the trust
+// model. The sharded engines, routing, request validation and the whole
+// read surface (PreEvaluate, RequestDelegation, their batches, §4.3
+// transitive reads) come from ShardedEngineSet; see
+// service/sharded_engine_set.h for that contract. This class adds the
+// leader's role on top of it:
+//   * the data-plane write path: outcome reports take the trustor's
+//     shard lock exclusive; batches take each touched shard lock once;
+//   * the control plane: cross-trustor configuration (task catalog,
+//     reverse-evaluation thresholds, environment indicators) replicated
+//     to every shard under a global admin mutex — rare writes;
+//   * durability (Open): a per-shard WAL written before every apply,
+//     cross-shard group commit, and checkpoints.
+// Because shards share no data-plane state, a multi-threaded run over any
+// partition of the trustors is equivalent to a single-threaded run of the
+// same per-trustor operation sequences — the service and bench tests
+// assert exactly that.
 
 #ifndef SIOT_SERVICE_TRUST_SERVICE_H_
 #define SIOT_SERVICE_TRUST_SERVICE_H_
@@ -34,10 +23,10 @@
 #include <atomic>
 #include <cstdint>
 #include <memory>
-#include <optional>
 #include <span>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "common/mutex.h"
@@ -46,6 +35,7 @@
 #include "graph/graph.h"
 #include "service/overlay_serving.h"
 #include "service/persistence.h"
+#include "service/sharded_engine_set.h"
 #include "trust/trust_engine.h"
 #include "trust/types.h"
 
@@ -59,22 +49,6 @@ struct TrustServiceConfig {
   std::size_t shard_count = 16;
   /// Engine configuration applied to every shard.
   trust::TrustEngineConfig engine;
-};
-
-/// One pre-evaluation query TW_X←Y(τ).
-struct PreEvaluateRequest {
-  trust::AgentId trustor = trust::kNoAgent;
-  trust::AgentId trustee = trust::kNoAgent;
-  trust::TaskId task = trust::kNoTask;
-};
-
-/// One delegation request (TrustEngine::RequestDelegation arguments).
-struct DelegationServiceRequest {
-  trust::AgentId trustor = trust::kNoAgent;
-  trust::TaskId task = trust::kNoTask;
-  std::vector<trust::AgentId> candidates;
-  /// Enables the Eq. 24 self-execution comparison when present.
-  std::optional<trust::OutcomeEstimates> self_estimates;
 };
 
 /// One post-evaluation report (TrustEngine::ReportOutcome arguments).
@@ -97,25 +71,6 @@ struct ShardWalPosition {
   std::uint64_t last_seq = 0;
   /// Current WAL file size in bytes (drops to 0 at a checkpoint).
   std::uint64_t wal_bytes = 0;
-};
-
-/// Point-in-time service counters and store sizes.
-struct TrustServiceStats {
-  std::size_t shard_count = 0;
-  std::size_t record_count = 0;       ///< Σ shard store records.
-  std::size_t pair_count = 0;         ///< Σ shard store directed pairs.
-  std::uint64_t pre_evaluations = 0;  ///< Queries served since start.
-  std::uint64_t delegation_requests = 0;
-  std::uint64_t outcome_reports = 0;
-  /// Durable-mode flush accounting (all zero without persistence or with
-  /// sync_every_append off). `wal_sync_requests` counts logical "make
-  /// this durable" requests; `wal_fsyncs` counts device flushes actually
-  /// issued. Without group commit they advance in lockstep; with it,
-  /// `wal_syncs_coalesced` = requests − flushes is the number of syncs
-  /// the committer absorbed into a shared flush.
-  std::uint64_t wal_sync_requests = 0;
-  std::uint64_t wal_fsyncs = 0;
-  std::uint64_t wal_syncs_coalesced = 0;
 };
 
 /// Sharded, thread-safe trust serving layer; see file comment. All public
@@ -167,7 +122,7 @@ class TrustService {
   Status Checkpoint();
 
   /// True when this service was created by Open (durable mode).
-  bool persistent() const { return shards_[0]->persist != nullptr; }
+  bool persistent() const { return ShardAt(0).persist != nullptr; }
 
   /// First error a background/periodic checkpoint hit, if any (writes
   /// are still durable in the WAL when a checkpoint fails; this surfaces
@@ -206,99 +161,87 @@ class TrustService {
   Status SetEnvironmentIndicator(trust::AgentId agent, double indicator);
 
   // -------------------------------------------------------- data plane --
-  // Unlike the engine underneath (where an unknown task id is a
-  // programming error that trips SIOT_CHECK), the serving boundary treats
-  // malformed requests as data: every data-plane call validates the task
-  // id against the replicated catalog and returns InvalidArgument instead
-  // of bringing the process down. Batch calls validate the WHOLE batch
-  // up front and reject it atomically — no partial application.
+  // Reads forward to the ShardedEngineSet contract (validation, batch
+  // atomicity, counters): see service/sharded_engine_set.h. Writes apply
+  // the same boundary — the task id against the replicated catalog, the
+  // report's fields as data — and a batch is validated and rejected
+  // atomically before any shard is touched.
 
-  /// Pre-evaluation TW_X←Y(τ) (shared lock on the trustor's shard).
   StatusOr<double> PreEvaluate(trust::AgentId trustor,
                                trust::AgentId trustee,
-                               trust::TaskId task) const;
-
-  /// Full delegation request (shared lock on the trustor's shard): ranking
-  /// under the configured strategy, Eq. 24 self comparison, reverse
-  /// evaluations.
+                               trust::TaskId task) const {
+    return engines_.PreEvaluate(trustor, trustee, task);
+  }
   StatusOr<trust::DelegationRequestResult> RequestDelegation(
-      const DelegationServiceRequest& request) const;
+      const DelegationServiceRequest& request) const {
+    return engines_.RequestDelegation(request);
+  }
+  StatusOr<std::vector<double>> BatchPreEvaluate(
+      std::span<const PreEvaluateRequest> requests) const {
+    return engines_.BatchPreEvaluate(requests);
+  }
+  StatusOr<std::vector<trust::DelegationRequestResult>>
+  BatchRequestDelegation(
+      std::span<const DelegationServiceRequest> requests) const {
+    return engines_.BatchRequestDelegation(requests);
+  }
 
   /// Post-evaluation (exclusive lock on the trustor's shard).
   Status ReportOutcome(const OutcomeReport& report);
 
-  /// Batched variants: one lock acquisition per touched shard, results in
-  /// input order.
-  StatusOr<std::vector<double>> BatchPreEvaluate(
-      std::span<const PreEvaluateRequest> requests) const;
-  StatusOr<std::vector<trust::DelegationRequestResult>>
-  BatchRequestDelegation(
-      std::span<const DelegationServiceRequest> requests) const;
+  /// Batched reports: one lock acquisition and one WAL write per touched
+  /// shard, and one group-commit flush for the whole batch.
   Status BatchReportOutcome(std::span<const OutcomeReport> reports);
 
   // ------------------------------------------- transitive read path --
-  // §4.3 transitivity needs a whole-graph overlay spanning every shard.
-  // The PRODUCTION home of this read path is a follower
-  // (ReplicaService) — it already holds all shards' replicated state and
+  // The PRODUCTION home of §4.3 transitive serving is a follower
+  // (ReplicaService): it already holds all shards' replicated state and
   // tolerates staleness, so the expensive assembly never holds leader
   // shard locks. This single-node variant serves small deployments and
   // the equivalence tests; its rebuild briefly holds every shard's
   // SHARED lock (reads keep serving, writers stall for the assembly).
 
-  /// Arms transitive serving over `graph` (agent i = node i). Queries
-  /// stay FailedPrecondition until the first RebuildOverlaySnapshot.
   Status EnableTransitiveServing(std::shared_ptr<const graph::Graph> graph,
-                                 trust::TransitivityParams params);
+                                 trust::TransitivityParams params) {
+    return engines_.EnableTransitiveServing(std::move(graph),
+                                            std::move(params));
+  }
 
-  /// Assembles a fresh overlay snapshot from all shard stores under one
-  /// simultaneous all-shard shared-lock hold (one consistent cut; the
-  /// version stamp is the per-shard durable last_seq vector, all zeros
-  /// without persistence), then prepares + publishes it lock-free.
-  /// Readers of the previous snapshot are never blocked.
+  /// ShardedEngineSet::RebuildOverlaySnapshot, stamped with the
+  /// per-shard durable last_seq vector (all zeros without persistence).
   Status RebuildOverlaySnapshot();
 
-  /// Transitive trust query against the published snapshot; the result
-  /// carries the snapshot version + age it was answered from.
   StatusOr<TransitiveTrustResult> TransitiveTrust(
-      const TransitiveTrustRequest& request) const;
-
-  /// Batched variant; the whole batch is validated up front, rejected
-  /// atomically, and answered from one snapshot.
+      const TransitiveTrustRequest& request) const {
+    return engines_.TransitiveTrust(request);
+  }
   StatusOr<std::vector<TransitiveTrustResult>> BatchTransitiveTrust(
-      std::span<const TransitiveTrustRequest> requests) const;
-
-  /// Version/age/size of the currently served snapshot.
-  OverlaySnapshotInfo OverlayInfo() const { return overlay_.Info(); }
-
-  /// The served snapshot bundle (null before the first rebuild).
+      std::span<const TransitiveTrustRequest> requests) const {
+    return engines_.BatchTransitiveTrust(requests);
+  }
+  OverlaySnapshotInfo OverlayInfo() const { return engines_.OverlayInfo(); }
   std::shared_ptr<const trust::VersionedOverlaySnapshot>
   CurrentOverlaySnapshot() const {
-    return overlay_.CurrentSnapshot();
+    return engines_.CurrentOverlaySnapshot();
   }
 
   // ------------------------------------------------------- observation --
 
-  std::size_t shard_count() const { return shards_.size(); }
-  /// Shard index serving `trustor` (stable for the service's lifetime).
-  std::size_t ShardOf(trust::AgentId trustor) const;
+  std::size_t shard_count() const { return engines_.shard_count(); }
+  std::size_t ShardOf(trust::AgentId trustor) const {
+    return engines_.ShardOf(trustor);
+  }
   TrustServiceStats Stats() const;
 
-  /// Direct engine access for tests and offline inspection. NOT
-  /// synchronized — the caller must guarantee no concurrent service use.
-  /// Justified escape: this is the documented caller-synchronized test
-  /// hook; taking the shard lock here would let production code lean on
-  /// an accessor whose contract is "no concurrent use".
-  const trust::TrustEngine& shard_engine(std::size_t shard) const
-      SIOT_NO_THREAD_SAFETY_ANALYSIS {
-    return shards_[shard]->engine;
+  /// Caller-synchronized test hook; see ShardedEngineSet::shard_engine.
+  const trust::TrustEngine& shard_engine(std::size_t shard) const {
+    return engines_.shard_engine(shard);
   }
 
  private:
-  struct Shard {
-    explicit Shard(const trust::TrustEngineConfig& config)
-        : engine(config) {}
-    mutable SharedMutex mutex;
-    trust::TrustEngine engine SIOT_GUARDED_BY(mutex);
+  /// The leader's role state, guarded by the shard's own mutex.
+  struct LeaderShard : ShardedEngineSet::Shard {
+    using Shard::Shard;
     /// Durable mode only. The pointer itself is set once before
     /// concurrency starts (Open) and never reseated; the pointee is
     /// mutated by appends/checkpoints under the exclusive lock and read
@@ -306,14 +249,9 @@ class TrustService {
     std::unique_ptr<ShardPersistence> persist SIOT_PT_GUARDED_BY(mutex);
   };
 
-  /// Groups [0, count) by ShardOf(trustor-of-index) and runs `body(shard,
-  /// indices)` once per non-empty shard bucket.
-  template <typename TrustorOf, typename Body>
-  void GroupByShard(std::size_t count, const TrustorOf& trustor_of,
-                    const Body& body) const;
-
-  /// InvalidArgument unless `task` names a registered catalog entry.
-  Status ValidateTask(trust::TaskId task) const;
+  LeaderShard& ShardAt(std::size_t s) const {
+    return engines_.shard<LeaderShard>(s);
+  }
 
   /// FailedPrecondition once a WAL append has failed (see degraded()).
   Status CheckNotDegraded() const;
@@ -340,27 +278,21 @@ class TrustService {
   Status ReconcileAdminState();
 
   /// Checkpoints one shard; caller holds the shard's exclusive lock.
-  Status CheckpointShardLocked(Shard& shard) SIOT_REQUIRES(shard.mutex);
+  Status CheckpointShardLocked(LeaderShard& shard)
+      SIOT_REQUIRES(shard.mutex);
 
   /// Inline auto-checkpoint after data-plane appends (durable mode with
   /// checkpoint_every_appends set); caller holds the exclusive lock. The
   /// triggering write is already durable + applied, so a checkpoint
   /// failure only logs + records background degradation.
-  void MaybeAutoCheckpointLocked(Shard& shard) SIOT_REQUIRES(shard.mutex);
-
-  /// Guarded reads used by RebuildOverlaySnapshot, whose MultiReaderLock
-  /// holds EVERY shard's lock shared but as a dynamic set the analysis
-  /// cannot track; each helper re-asserts the one capability its access
-  /// needs (the assert-capability audit — see MultiReaderLock).
-  const trust::TrustEngine& EngineOfShardAllLocked(const Shard& shard) const;
-  std::uint64_t DurableSeqOfShardAllLocked(const Shard& shard) const;
+  void MaybeAutoCheckpointLocked(LeaderShard& shard)
+      SIOT_REQUIRES(shard.mutex);
 
   void StartCheckpointThread();
   void StopCheckpointThread();
 
-  std::vector<std::unique_ptr<Shard>> shards_;
-  /// Snapshot-backed transitive read path (EnableTransitiveServing).
-  OverlaySnapshotIndex overlay_;
+  /// The shard tier: engines, routing, validation and the read surface.
+  ShardedEngineSet engines_;
   /// Lock rank 1 of 3: admin_mutex_ → shard.mutex (ascending index) →
   /// background_mutex_. The shard locks are per-instance and dynamic, so
   /// only the admin_mutex_ → background_mutex_ edge is expressible to
@@ -384,22 +316,8 @@ class TrustService {
   bool stopping_ SIOT_GUARDED_BY(background_mutex_) = false;
   Status background_status_ SIOT_GUARDED_BY(background_mutex_);
   std::atomic<bool> degraded_{false};
-  /// Registered task count, readable without shard locks (RegisterTask
-  /// publishes after full replication).
-  std::atomic<trust::TaskId> task_count_{0};
-  mutable std::atomic<std::uint64_t> pre_evaluations_{0};
-  mutable std::atomic<std::uint64_t> delegation_requests_{0};
   std::atomic<std::uint64_t> outcome_reports_{0};
 };
-
-/// Shard index serving `trustor` in a `shard_count`-shard deployment.
-/// The ONE routing function shared by TrustService and ReplicaService:
-/// a follower replays shard i's WAL into its own shard i, so leader and
-/// replicas must agree on routing forever — never fork this hash.
-/// (SplitMix64 finalizer: adjacent agent ids spread across shards so a
-/// dense trustor range doesn't pile onto one stripe.)
-std::size_t ShardIndexForTrustor(trust::AgentId trustor,
-                                 std::size_t shard_count);
 
 /// The manifest contents binding a persistence directory to a shard
 /// count + engine configuration. Exposed so a replica can verify it was

@@ -3,98 +3,12 @@
 #include "service/wal_codec.h"
 
 #include <cmath>
-#include <cstring>
 
+#include "common/byte_io.h"
 #include "common/string_util.h"
 #include "trust/trust_store_io.h"
 
 namespace siot::service {
-
-namespace {
-
-void PutU16(std::string* out, std::uint16_t v) {
-  for (int i = 0; i < 2; ++i) {
-    out->push_back(static_cast<char>((v >> (8 * i)) & 0xFFu));
-  }
-}
-
-void PutU32(std::string* out, std::uint32_t v) {
-  for (int i = 0; i < 4; ++i) {
-    out->push_back(static_cast<char>((v >> (8 * i)) & 0xFFu));
-  }
-}
-
-void PutF64(std::string* out, double v) {
-  // Raw bit pattern, not a decimal rendering: replay and the admin
-  // reconciliation compare doubles by exact equality.
-  std::uint64_t bits = 0;
-  static_assert(sizeof(bits) == sizeof(v));
-  std::memcpy(&bits, &v, sizeof(bits));
-  for (int i = 0; i < 8; ++i) {
-    out->push_back(static_cast<char>((bits >> (8 * i)) & 0xFFu));
-  }
-}
-
-/// Little-endian cursor over a binary payload; every read is
-/// bounds-checked so a truncated or trailing-garbage payload surfaces as
-/// Corruption, never an out-of-range access.
-class BinaryReader {
- public:
-  explicit BinaryReader(std::string_view bytes) : bytes_(bytes) {}
-
-  bool ReadU8(std::uint8_t* v) {
-    if (remaining() < 1) return false;
-    *v = static_cast<unsigned char>(bytes_[offset_++]);
-    return true;
-  }
-
-  bool ReadU16(std::uint16_t* v) {
-    if (remaining() < 2) return false;
-    *v = 0;
-    for (int i = 1; i >= 0; --i) {
-      *v = static_cast<std::uint16_t>(
-          (*v << 8) | static_cast<unsigned char>(bytes_[offset_ + i]));
-    }
-    offset_ += 2;
-    return true;
-  }
-
-  bool ReadU32(std::uint32_t* v) {
-    if (remaining() < 4) return false;
-    *v = 0;
-    for (int i = 3; i >= 0; --i) {
-      *v = (*v << 8) | static_cast<unsigned char>(bytes_[offset_ + i]);
-    }
-    offset_ += 4;
-    return true;
-  }
-
-  bool ReadF64(double* v) {
-    if (remaining() < 8) return false;
-    std::uint64_t bits = 0;
-    for (int i = 7; i >= 0; --i) {
-      bits = (bits << 8) | static_cast<unsigned char>(bytes_[offset_ + i]);
-    }
-    offset_ += 8;
-    std::memcpy(v, &bits, sizeof(*v));
-    return true;
-  }
-
-  bool ReadBytes(std::size_t n, std::string* out) {
-    if (remaining() < n) return false;
-    out->assign(bytes_.substr(offset_, n));
-    offset_ += n;
-    return true;
-  }
-
-  std::size_t remaining() const { return bytes_.size() - offset_; }
-
- private:
-  std::string_view bytes_;
-  std::size_t offset_ = 0;
-};
-
-}  // namespace
 
 Status WalOpCorruption(std::string_view payload, const std::string& what) {
   return Status::Corruption(
@@ -228,7 +142,7 @@ bool IsKnownWalFormatByte(unsigned char first_byte) {
 namespace {
 
 StatusOr<WalOp> DecodeBinaryOp(std::string_view payload) {
-  BinaryReader reader(payload.substr(1));  // Past the version byte.
+  ByteReader reader(payload.substr(1));  // Past the version byte.
   WalOp op;
   std::uint8_t kind = 0;
   if (!reader.ReadU8(&kind)) {

@@ -660,6 +660,49 @@ TEST(ReplicationTest, MutationsAreRejectedReadOnly) {
       replica->SetEnvironmentIndicator(1, 0.5).IsFailedPrecondition());
 }
 
+TEST(ReplicationTest, RejectedReadsMatchLeaderAndLeaveCountersAlone) {
+  // A rejected read gets the leader's exact status on the follower too,
+  // and moves no counter on either: validation (the whole batch, up
+  // front) precedes counting.
+  const std::string dir = MakeTestDir("rejected_reads");
+  const TrustServiceConfig config = MakeConfig(4);
+  TaskId task = trust::kNoTask;
+  auto leader = OpenLeader(config, dir, &task).value();
+  ASSERT_TRUE(leader->BatchReportOutcome(MakeBatch(0, 16, task, 0)).ok());
+  ReplicaOptions replica_options;
+  replica_options.directory = dir;
+  auto replica = ReplicaService::Open(config, replica_options).value();
+  ASSERT_TRUE(
+      replica->AwaitPositions(leader->WalPositions(), kAwaitTimeout).ok());
+
+  constexpr TaskId kUnregistered = 7;
+  DelegationServiceRequest delegation;
+  delegation.trustor = 3;
+  delegation.task = kUnregistered;
+  delegation.candidates = {1001, 1002};
+  const std::vector<PreEvaluateRequest> batch = {
+      {1, 1001, task}, {2, 1002, task}, {3, 1003, kUnregistered}};
+  const auto expect_same = [](const Status& a, const Status& b,
+                              const char* what) {
+    EXPECT_EQ(a.code(), StatusCode::kInvalidArgument) << what;
+    EXPECT_EQ(a.code(), b.code()) << what;
+    EXPECT_EQ(a.message(), b.message()) << what;
+  };
+  expect_same(leader->PreEvaluate(1, 1001, kUnregistered).status(),
+              replica->PreEvaluate(1, 1001, kUnregistered).status(),
+              "PreEvaluate");
+  expect_same(leader->RequestDelegation(delegation).status(),
+              replica->RequestDelegation(delegation).status(),
+              "RequestDelegation");
+  expect_same(leader->BatchPreEvaluate(batch).status(),
+              replica->BatchPreEvaluate(batch).status(), "BatchPreEvaluate");
+
+  for (const TrustServiceStats& stats : {leader->Stats(), replica->Stats()}) {
+    EXPECT_EQ(stats.pre_evaluations, 0u);
+    EXPECT_EQ(stats.delegation_requests, 0u);
+  }
+}
+
 TEST(ReplicationTest, OpenRefusesUninitializedOrMismatchedDirectory) {
   const std::string dir = MakeTestDir("bad_open");
   ReplicaOptions options;
