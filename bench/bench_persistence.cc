@@ -17,7 +17,6 @@
 #include <vector>
 
 #include "bench/bench_util.h"
-#include "common/file_util.h"
 #include "common/macros.h"
 #include "common/mutex.h"
 #include "service/persistence.h"
@@ -61,7 +60,7 @@ void BM_WalAppend(benchmark::State& state) {
   siot::trust::TrustEngine engine(MakeConfig(1).engine);
   SIOT_CHECK(engine.catalog().AddUniform("sense", {0}).ok());
   SIOT_CHECK(persist.Recover(&engine).ok());
-  const std::string op = siot::service::EncodeOutcomeOp(
+  const std::string op = siot::service::EncodeOutcomeOpBinary(
       1, 2, 0, {true, 0.8, 0.0, 0.1}, false, {});
   const std::vector<std::string> batch{op};
   for (auto _ : state) {
@@ -84,8 +83,8 @@ void BM_WalAppendBatch64(benchmark::State& state) {
   siot::trust::TrustEngine engine(MakeConfig(1).engine);
   SIOT_CHECK(persist.Recover(&engine).ok());
   const std::vector<std::string> batch(
-      64, siot::service::EncodeOutcomeOp(1, 2, 0, {true, 0.8, 0.0, 0.1},
-                                         false, {}));
+      64, siot::service::EncodeOutcomeOpBinary(
+              1, 2, 0, {true, 0.8, 0.0, 0.1}, false, {}));
   for (auto _ : state) {
     SIOT_CHECK(persist.Log(batch).ok());
   }
@@ -167,129 +166,6 @@ BENCHMARK(BM_Recovery)
     ->Args({10000, 8, 1})
     ->Args({100000, 8, 0})
     ->Args({100000, 8, 1})
-    ->Unit(benchmark::kMillisecond);
-
-// ------------------------------------------------- codec comparison --
-
-/// One outcome op (2 intermediates) encoded with the chosen codec.
-std::string EncodeBenchOp(bool binary) {
-  const siot::trust::DelegationOutcome outcome{true, 0.8125, 0.0, 0.1};
-  const std::vector<siot::trust::AgentId> intermediates{7, 9};
-  return binary ? siot::service::EncodeOutcomeOpBinary(
-                      1, 2, 0, outcome, false, intermediates)
-                : siot::service::EncodeOutcomeOp(1, 2, 0, outcome, false,
-                                                 intermediates);
-}
-
-/// Encode + append cost per op, text vs binary payloads (os-buffered:
-/// isolates codec and frame cost from device latency). Arg 0 = binary.
-void BM_WalAppendCodec(benchmark::State& state) {
-  const bool binary = state.range(0) != 0;
-  const std::string dir = BenchDir("wal_append_codec");
-  PersistenceOptions options;
-  options.directory = dir;
-  ShardPersistence persist(&options, 0);
-  siot::trust::TrustEngine engine(MakeConfig(1).engine);
-  SIOT_CHECK(persist.Recover(&engine).ok());
-  for (auto _ : state) {
-    SIOT_CHECK(persist.Log({EncodeBenchOp(binary)}).ok());
-  }
-  state.SetItemsProcessed(state.iterations());
-  state.counters["payload_bytes"] =
-      static_cast<double>(EncodeBenchOp(binary).size());
-  state.SetLabel(binary ? "binary-v2" : "text-v1");
-  std::filesystem::remove_all(dir);
-}
-BENCHMARK(BM_WalAppendCodec)->Arg(0)->Arg(1)->Unit(benchmark::kMicrosecond);
-
-/// Recovery replay of a single-shard WAL written entirely in one codec:
-/// decode + apply throughput, the read side of the text-vs-binary trade.
-void BM_WalReplayCodec(benchmark::State& state) {
-  const bool binary = state.range(0) != 0;
-  const std::size_t records = siot::bench::QuickClamp(20000, 2000);
-  const std::string dir = BenchDir("wal_replay_codec");
-  PersistenceOptions options;
-  options.directory = dir;
-  std::uint64_t wal_bytes = 0;
-  {
-    ShardPersistence persist(&options, 0);
-    siot::trust::TrustEngine engine(MakeConfig(1).engine);
-    SIOT_CHECK(persist.Recover(&engine).ok());
-    const std::string task_op =
-        binary ? siot::service::EncodeTaskOpBinary("sense", {0})
-               : siot::service::EncodeTaskOp("sense", {0});
-    SIOT_CHECK(persist.Log({task_op}).ok());
-    const std::vector<std::string> batch(1000, EncodeBenchOp(binary));
-    for (std::size_t logged = 0; logged < records; logged += 1000) {
-      SIOT_CHECK(persist.Log(batch).ok());
-    }
-    wal_bytes = persist.wal_bytes();
-  }
-  for (auto _ : state) {
-    ShardPersistence persist(&options, 0);
-    siot::trust::TrustEngine engine(MakeConfig(1).engine);
-    SIOT_CHECK(persist.Recover(&engine).ok());
-    benchmark::DoNotOptimize(engine);
-  }
-  state.SetItemsProcessed(state.iterations() *
-                          static_cast<std::int64_t>(records));
-  state.counters["wal_bytes"] = static_cast<double>(wal_bytes);
-  state.SetLabel(std::string(binary ? "binary-v2" : "text-v1") +
-                 (siot::bench::QuickMode() ? " (quick-clamped)" : ""));
-  std::filesystem::remove_all(dir);
-}
-BENCHMARK(BM_WalReplayCodec)
-    ->Arg(0)
-    ->Arg(1)
-    ->Unit(benchmark::kMillisecond);
-
-/// Checkpoint restore wall time, text v1 vs binary v2 encodings of the
-/// SAME engine state (single shard, records quick-clamped from 100k).
-/// This is the restore-side win the binary checkpoint format is gated
-/// on: decode replaces the text parser's line splitting and %.17g
-/// double parsing with fixed-stride reads of raw IEEE bits. Arg 0 =
-/// binary.
-void BM_CheckpointRestoreCodec(benchmark::State& state) {
-  const bool binary = state.range(0) != 0;
-  const std::size_t records = siot::bench::QuickClamp(100000, 2000);
-  const std::string dir = BenchDir("ckpt_restore_codec");
-  const TrustServiceConfig config = MakeConfig(1);
-  siot::trust::TrustEngine engine(config.engine);
-  SIOT_CHECK(engine.catalog().AddUniform("sense", {0}).ok());
-  for (std::size_t i = 0; i < records; ++i) {
-    engine.ReportOutcome(static_cast<siot::trust::AgentId>(i % 4096),
-                         static_cast<siot::trust::AgentId>(100000 +
-                                                           i / 4096),
-                         0, {i % 3 != 0, 0.75, 0.125, 0.1}, false);
-  }
-  const std::string bytes =
-      binary ? siot::service::EncodeCheckpointBinary(records, engine,
-                                                     nullptr)
-             : siot::service::EncodeCheckpointText(records, engine);
-  SIOT_CHECK(siot::WriteFileAtomic(
-                 siot::service::ShardCheckpointPath(dir, 0), bytes)
-                 .ok());
-  PersistenceOptions options;
-  options.directory = dir;
-  for (auto _ : state) {
-    ShardPersistence persist(&options, 0);
-    siot::trust::TrustEngine loaded(config.engine);
-    SIOT_CHECK(persist.Recover(&loaded).ok());
-    // Validate in-loop: a restore that silently drops records would
-    // otherwise make the fast path look even faster.
-    SIOT_CHECK(loaded.store().size() == records);
-    benchmark::DoNotOptimize(loaded);
-  }
-  state.SetItemsProcessed(state.iterations() *
-                          static_cast<std::int64_t>(records));
-  state.counters["ckpt_bytes"] = static_cast<double>(bytes.size());
-  state.SetLabel(std::string(binary ? "binary-v2" : "text-v1") +
-                 (siot::bench::QuickMode() ? " (quick-clamped)" : ""));
-  std::filesystem::remove_all(dir);
-}
-BENCHMARK(BM_CheckpointRestoreCodec)
-    ->Arg(0)
-    ->Arg(1)
     ->Unit(benchmark::kMillisecond);
 
 // --------------------------------------------- group commit scaling --

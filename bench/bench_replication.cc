@@ -20,14 +20,12 @@
 #include <vector>
 
 #include "bench/bench_util.h"
-#include "common/file_util.h"
 #include "common/macros.h"
 #include "common/string_util.h"
 #include "common/table.h"
 #include "service/persistence.h"
 #include "service/replication.h"
 #include "service/trust_service.h"
-#include "service/wal_codec.h"
 
 namespace {
 
@@ -148,133 +146,6 @@ BENCHMARK(BM_ReplicaCatchUp)
     ->Args({10000, 4, 0})
     ->Args({10000, 4, 1})
     ->Args({50000, 4, 0})
-    ->Unit(benchmark::kMillisecond);
-
-/// Follower catch-up over a single-shard WAL written entirely in one
-/// codec: the tailing decode path, text v1 vs binary v2 payloads (the
-/// directory is built op by op through ShardPersistence so the ONLY
-/// difference between the two series is the payload encoding). Arg 0 =
-/// binary.
-void BM_ReplicaCatchUpCodec(benchmark::State& state) {
-  const bool binary = state.range(0) != 0;
-  const std::size_t records = siot::bench::QuickClamp(20000, 2000);
-  const std::string dir = BenchDir("replica_catchup_codec");
-  const TrustServiceConfig config = MakeConfig(1);
-  siot::service::PersistenceOptions options;
-  options.directory = dir;
-  SIOT_CHECK(siot::WriteFileAtomic(
-                 siot::service::ManifestPath(dir),
-                 siot::service::BuildServiceManifest(1, config))
-                 .ok());
-  std::uint64_t wal_bytes = 0;
-  {
-    siot::service::ShardPersistence persist(&options, 0);
-    siot::trust::TrustEngine engine(config.engine);
-    SIOT_CHECK(persist.Recover(&engine).ok());
-    const std::string task_op =
-        binary ? siot::service::EncodeTaskOpBinary("sense", {0})
-               : siot::service::EncodeTaskOp("sense", {0});
-    SIOT_CHECK(persist.Log({task_op}).ok());
-    // Distinct (trustor, trustee) per record — the store upserts on the
-    // (trustor, trustee, task) triple, so reuse would collapse records
-    // and break the recovered-count check below.
-    for (std::size_t logged = 0; logged < records; logged += 1000) {
-      std::vector<std::string> batch;
-      batch.reserve(1000);
-      for (std::size_t i = logged; i < logged + 1000; ++i) {
-        const siot::trust::DelegationOutcome outcome{i % 3 != 0, 0.75,
-                                                     0.125, 0.1};
-        const auto trustor =
-            static_cast<siot::trust::AgentId>(i % 4096);
-        const auto trustee =
-            static_cast<siot::trust::AgentId>(100000 + i / 4096);
-        batch.push_back(binary
-                            ? siot::service::EncodeOutcomeOpBinary(
-                                  trustor, trustee, 0, outcome, false, {})
-                            : siot::service::EncodeOutcomeOp(
-                                  trustor, trustee, 0, outcome, false, {}));
-      }
-      SIOT_CHECK(persist.Log(batch).ok());
-    }
-    wal_bytes = persist.wal_bytes();
-  }
-  ReplicaOptions replica_options;
-  replica_options.directory = dir;
-  std::size_t recovered = 0;
-  for (auto _ : state) {
-    auto replica =
-        std::move(ReplicaService::Open(config, replica_options)).value();
-    recovered = CaughtUpRecordCount(*replica, records);
-    benchmark::DoNotOptimize(recovered);
-  }
-  SIOT_CHECK(recovered == records);
-  state.SetItemsProcessed(state.iterations() *
-                          static_cast<std::int64_t>(records));
-  state.counters["wal_bytes"] = static_cast<double>(wal_bytes);
-  state.SetLabel(std::string(binary ? "binary-v2" : "text-v1") +
-                 (siot::bench::QuickMode() ? " (quick-clamped)" : ""));
-  std::filesystem::remove_all(dir);
-}
-BENCHMARK(BM_ReplicaCatchUpCodec)
-    ->Arg(0)
-    ->Arg(1)
-    ->Unit(benchmark::kMillisecond);
-
-/// Follower cold start over a CHECKPOINTED leader: restore the shard
-/// checkpoint — text v1 vs binary v2 of the same state — then replay
-/// the binary WAL tail behind it. The records quick-clamp from 100k;
-/// the tail stays a fixed 2k records so both series replay identical
-/// tails and the delta is purely the checkpoint decode. Arg 0 = binary.
-void BM_ReplicaCheckpointCatchUpCodec(benchmark::State& state) {
-  const bool binary = state.range(0) != 0;
-  const std::size_t records = siot::bench::QuickClamp(100000, 2000);
-  const std::size_t tail = siot::bench::QuickClamp(2048, 256);
-  const std::string dir = BenchDir("replica_ckpt_codec");
-  const TrustServiceConfig config = MakeConfig(1);
-  {
-    PersistenceOptions options;
-    options.directory = dir;
-    options.checkpoint_format =
-        binary ? siot::service::kCheckpointFormatBinary
-               : siot::service::kCheckpointFormatText;
-    auto leader = std::move(TrustService::Open(config, options)).value();
-    SIOT_CHECK(leader->RegisterTask("sense", {0}).ok());
-    for (std::size_t base = 0; base < records; base += 1024) {
-      SIOT_CHECK(
-          leader
-              ->BatchReportOutcome(MakeBatch(
-                  base, std::min<std::size_t>(1024, records - base)))
-              .ok());
-    }
-    SIOT_CHECK(leader->Checkpoint().ok());
-    for (std::size_t base = records; base < records + tail; base += 1024) {
-      SIOT_CHECK(leader
-                     ->BatchReportOutcome(MakeBatch(
-                         base, std::min<std::size_t>(1024,
-                                                     records + tail - base)))
-                     .ok());
-    }
-  }
-  ReplicaOptions replica_options;
-  replica_options.directory = dir;
-  for (auto _ : state) {
-    auto replica =
-        std::move(ReplicaService::Open(config, replica_options)).value();
-    // Validate in-loop: a catch-up that silently drops records would
-    // otherwise make the fast path look even faster.
-    SIOT_CHECK(CaughtUpRecordCount(*replica, records + tail) ==
-               records + tail);
-    benchmark::DoNotOptimize(*replica);
-  }
-  state.SetItemsProcessed(state.iterations() *
-                          static_cast<std::int64_t>(records + tail));
-  state.SetLabel(std::string(binary ? "binary-v2" : "text-v1") +
-                 (siot::bench::QuickMode() ? " (quick-clamped)" : ""));
-  std::filesystem::remove_all(dir);
-}
-BENCHMARK(BM_ReplicaCheckpointCatchUpCodec)
-    ->Arg(0)
-    ->Arg(1)
     ->Unit(benchmark::kMillisecond);
 
 /// Steady-state pipeline: leader appends a 64-record batch, follower

@@ -58,22 +58,7 @@ Status SectionCorruption(const std::string& path, CheckpointSection id,
                                       what.c_str()));
 }
 
-}  // namespace
-
 // --------------------------------------------------------- v1 (text) --
-
-std::string EncodeCheckpointText(std::uint64_t applied_seq,
-                                 const trust::TrustEngine& engine) {
-  const std::string body =
-      StrFormat("applied_seq %llu\n",
-                static_cast<unsigned long long>(applied_seq)) +
-      trust::SerializeTrustEngineState(engine);
-  return StrFormat("%s 1 %zu %u\n", kCheckpointMagic, body.size(),
-                   Crc32cMask(Crc32c(body))) +
-         body;
-}
-
-namespace {
 
 /// Parses the v1 text layout: header line, whole-body CRC, applied_seq
 /// line, then (engine != nullptr) the text engine-state body.

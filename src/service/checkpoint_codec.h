@@ -54,9 +54,10 @@
 // Decoding dispatches on the first byte (0x02 = binary; printable ASCII =
 // v1 text), so a directory checkpointed before the binary format — or a
 // mixed directory (text checkpoint + binary WAL tail, or vice versa) —
-// recovers byte-identically with no migration step. Encoders for BOTH
-// formats stay exported: the service writes v2, the compat fixtures and
-// the restore benches write v1 deliberately.
+// recovers byte-identically with no migration step. v1 is decode-only
+// in production: only the v2 encoder is exported, and the v1 writer
+// lives in tests/support/v1_formats.h for the codec tests and the
+// compat fixtures.
 //
 // Restore applies the same semantic checks as the text parser (duplicate
 // entries, NaN thresholds, indicators outside (0, 1], characteristics
@@ -94,12 +95,6 @@ enum class CheckpointSection : std::uint8_t {
   kRecords = 5,
 };
 inline constexpr std::size_t kCheckpointSectionCount = 5;
-
-/// Encodes the v1 text checkpoint (header + applied_seq line +
-/// SerializeTrustEngineState), byte-identical to what the pre-binary
-/// service wrote.
-std::string EncodeCheckpointText(std::uint64_t applied_seq,
-                                 const trust::TrustEngine& engine);
 
 /// Encodes the v2 sectioned binary checkpoint. When `section_ends` is
 /// non-null it receives the byte offset of the END of each section (five

@@ -20,6 +20,7 @@
 #include "common/file_util.h"
 #include "common/logging.h"
 #include "common/string_util.h"
+#include "service/checkpoint_codec.h"
 
 namespace siot::service {
 
@@ -560,15 +561,13 @@ Status ShardPersistence::Checkpoint(const trust::TrustEngine& engine) {
   const std::uint64_t applied_seq = next_seq_ - 1;
   std::vector<std::size_t> section_ends;
   const std::string content =
-      options_->checkpoint_format == kCheckpointFormatText
-          ? EncodeCheckpointText(applied_seq, engine)
-          : EncodeCheckpointBinary(applied_seq, engine, &section_ends);
+      EncodeCheckpointBinary(applied_seq, engine, &section_ends);
   const std::string tmp = checkpoint_path_ + ".tmp";
   const FaultHook& hook = options_->fault_hook;
 
   // Kill-points of the tmp write, in byte order: kCheckpointMidWrite
   // stands at the half-way cut (a torn file that ends mid-section), and
-  // kCheckpointMidSection stands at the end of every binary section (a
+  // kCheckpointMidSection stands at the end of every section (a
   // torn file that ends EXACTLY on a section boundary — lengths and CRCs
   // valid as far as they go, the next section simply absent).
   std::vector<std::pair<std::size_t, PersistStage>> cuts;

@@ -18,8 +18,8 @@
 //                    past the apply, but never past the acknowledgment.
 //   shard-<i>.ckpt   checkpoint: the full engine state plus the sequence
 //                    number of the last op folded in, encoded by the
-//                    versioned checkpoint codec (binary v2 sections by
-//                    default; v1 text restores forever — see
+//                    versioned checkpoint codec (written as binary v2
+//                    sections; v1 text restores forever — see
 //                    service/checkpoint_codec.h). Written atomically
 //                    (tmp + fsync + rename + dir fsync), then the WAL is
 //                    truncated. Ops are idempotently skipped at recovery
@@ -64,7 +64,6 @@
 #include "common/mutex.h"
 #include "common/status.h"
 #include "common/thread_annotations.h"
-#include "service/checkpoint_codec.h"
 #include "service/wal_codec.h"
 #include "trust/trust_engine.h"
 
@@ -79,11 +78,10 @@ enum class PersistStage {
   kWalAfterAppend,           ///< Frame durable; op NOT yet applied.
   kGroupCommitFlush,         ///< Group-commit leader about to flush a round.
   kCheckpointMidWrite,       ///< Half the checkpoint tmp file written.
-  kCheckpointMidSection,     ///< A binary checkpoint section fully written
-                             ///< to the tmp file (fires once per section —
+  kCheckpointMidSection,     ///< A checkpoint section fully written to
+                             ///< the tmp file (fires once per section —
                              ///< the tmp ends exactly on a section
-                             ///< boundary). Never fires for text
-                             ///< checkpoints.
+                             ///< boundary).
   kCheckpointBeforeRename,   ///< Tmp complete + synced; not yet renamed.
   kCheckpointBeforeTruncate, ///< Renamed; WAL not yet truncated.
 };
@@ -115,12 +113,6 @@ struct PersistenceOptions {
   /// SIOT_GROUP_COMMIT_WINDOW_US environment variable when this field is
   /// zero, so a whole test suite can be flipped into group-commit mode.
   std::chrono::microseconds group_commit_window{0};
-  /// Format new checkpoints are WRITTEN in (kCheckpointFormatBinary by
-  /// default; kCheckpointFormatText reproduces the pre-binary layout —
-  /// the compat fixtures and restore benches write it deliberately).
-  /// Reading always dispatches on the file's own format byte, so this
-  /// never affects what a directory can recover from.
-  std::uint8_t checkpoint_format = kCheckpointFormatBinary;
   /// Test-only kill-point hook; see FaultHook.
   FaultHook fault_hook;
 };

@@ -16,46 +16,6 @@ Status WalOpCorruption(std::string_view payload, const std::string& what) {
                 trust::CorruptionSnippet(payload).c_str()));
 }
 
-// ------------------------------------------------------- v1 encoders --
-
-std::string EncodeOutcomeOp(
-    trust::AgentId trustor, trust::AgentId trustee, trust::TaskId task,
-    const trust::DelegationOutcome& outcome, bool trustor_was_abusive,
-    const std::vector<trust::AgentId>& intermediates) {
-  std::string op = StrFormat(
-      "outcome %u %u %u %d %.17g %.17g %.17g %d %zu", trustor, trustee,
-      task, outcome.success ? 1 : 0, outcome.gain, outcome.damage,
-      outcome.cost, trustor_was_abusive ? 1 : 0, intermediates.size());
-  for (const trust::AgentId agent : intermediates) {
-    op += StrFormat(" %u", agent);
-  }
-  return op;
-}
-
-std::string EncodeTaskOp(
-    const std::string& name,
-    const std::vector<trust::CharacteristicId>& characteristics) {
-  std::string op =
-      StrFormat("task %s %zu", trust::EscapeNameToken(name).c_str(),
-                characteristics.size());
-  for (const trust::CharacteristicId c : characteristics) {
-    op += StrFormat(" %u", c);
-  }
-  return op;
-}
-
-std::string EncodeThetaOp(trust::AgentId trustee, trust::TaskId task,
-                          double theta) {
-  if (task == trust::kNoTask) {
-    return StrFormat("theta %u * %.17g", trustee, theta);
-  }
-  return StrFormat("theta %u %u %.17g", trustee, task, theta);
-}
-
-std::string EncodeEnvOp(trust::AgentId agent, double indicator) {
-  return StrFormat("env %u %.17g", agent, indicator);
-}
-
 // ------------------------------------------------------- v2 encoders --
 
 namespace {

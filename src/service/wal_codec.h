@@ -34,9 +34,10 @@
 // DecodeAnyVersion dispatches on the first payload byte (0x02 = binary;
 // printable ASCII = v1 text), so a WAL whose prefix predates the binary
 // format — or a directory written entirely by a v1 service — replays
-// with no migration step, frame by frame. Encoders for BOTH formats stay
-// exported: the service writes v2, the mixed-version compatibility tests
-// and benches write v1 deliberately.
+// with no migration step, frame by frame. v1 is decode-only in
+// production: only the v2 encoders are exported, and the v1 writers live
+// in tests/support/v1_formats.h for the codec tests and the
+// mixed-version compat matrix.
 //
 // Decoding validates everything intrinsic to the payload (field shapes,
 // sentinel ids, non-finite values, out-of-range indicators) and returns
@@ -89,20 +90,6 @@ struct WalOp {
   // kTheta (threshold) / kEnv (indicator); kEnv's agent is `trustor`.
   double value = 0.0;
 };
-
-// ------------------------------------------------------- v1 encoders --
-
-std::string EncodeOutcomeOp(trust::AgentId trustor, trust::AgentId trustee,
-                            trust::TaskId task,
-                            const trust::DelegationOutcome& outcome,
-                            bool trustor_was_abusive,
-                            const std::vector<trust::AgentId>& intermediates);
-std::string EncodeTaskOp(
-    const std::string& name,
-    const std::vector<trust::CharacteristicId>& characteristics);
-std::string EncodeThetaOp(trust::AgentId trustee, trust::TaskId task,
-                          double theta);
-std::string EncodeEnvOp(trust::AgentId agent, double indicator);
 
 // ------------------------------------------------------- v2 encoders --
 

@@ -22,6 +22,7 @@
 #include "common/macros.h"
 #include "common/rng.h"
 #include "trust/trust_engine.h"
+#include "tests/support/v1_formats.h"
 #include "trust/trust_store_io.h"
 
 namespace siot::service {

@@ -5,38 +5,39 @@
 // and pure binary (v2 checkpoint + binary WAL) — each recovered by
 // today's service and byte-compared against the committed per-shard
 // serialized state. Unlike the sibling wal_format_compat_test, which
-// rebuilds old-format directories with today's exported v1 encoders,
+// rebuilds old-format directories with the test-support v1 writers,
 // these bytes were laid down once and frozen in git: if a codec change
 // ever breaks decoding of deployed files, THIS suite fails even when the
-// encoders drifted in lockstep with the decoders.
+// encoders drifted in lockstep with the decoders. The other direction is
+// pinned too: regenerating every flavor into a scratch directory must
+// reproduce the committed bytes, so the writers cannot drift either.
 //
 // Regeneration (only when the fixture script itself changes — never to
-// paper over a decode break):
-//   SIOT_REGENERATE_COMPAT_FIXTURES=1 \
-//     ./tests/siot_service_checkpoint_format_compat_test
+// paper over a decode break), from the build directory:
+//   SIOT_REGENERATE_COMPAT_FIXTURES=1 ./tests/siot_service_checkpoint_format_compat_test
 // then commit the rewritten fixture directories.
 
 #include <cstdlib>
 #include <filesystem>
 #include <memory>
+#include <set>
 #include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "common/file_util.h"
+#include "service/checkpoint_codec.h"
 #include "service/persistence.h"
 #include "service/replication.h"
 #include "service/trust_service.h"
 #include "service/wal_codec.h"
+#include "tests/support/v1_formats.h"
 #include "trust/trust_engine.h"
 #include "trust/trust_store_io.h"
 
 namespace siot::service {
 namespace {
-
-using trust::AgentId;
-using trust::TaskId;
 
 constexpr std::size_t kShards = 2;
 constexpr int kOutcomes = 24;
@@ -79,25 +80,6 @@ std::string MakeTestDir(const std::string& tag) {
   return dir;
 }
 
-/// Deterministic outcome i of the fixture script; doubles need every
-/// mantissa bit so byte-identical recovery tests the codecs, not round
-/// numbers.
-OutcomeReport CompatReport(int i) {
-  OutcomeReport report;
-  report.trustor = static_cast<AgentId>(17 * i % 101);
-  report.trustee = 1000 + static_cast<AgentId>(i % 7);
-  report.task = 0;
-  report.outcome.success = i % 3 != 0;
-  report.outcome.gain = 0.5 + 0.03125 * static_cast<double>(i % 11);
-  report.outcome.damage = report.outcome.success ? 0.0 : 0.1 * i;
-  report.outcome.cost = 0.125;
-  report.trustor_was_abusive = i % 5 == 0;
-  if (i % 4 == 0) {
-    report.intermediates = {2000 + static_cast<AgentId>(i % 3)};
-  }
-  return report;
-}
-
 template <typename Service>
 std::vector<std::string> ShardStates(const Service& service) {
   std::vector<std::string> states;
@@ -124,65 +106,17 @@ std::vector<std::string> ReferenceStates() {
 
 // ------------------------------------------------------ generation --
 
-/// Pure v1: manifest + text WAL payloads logged op by op through
-/// ShardPersistence (the way the pre-binary service wrote), with a TEXT
-/// checkpoint of every shard after `checkpoint_after` outcomes.
-void BuildV1TextDirectory(const std::string& dir, int outcomes,
-                          int checkpoint_after) {
-  const TrustServiceConfig config = MakeConfig();
-  PersistenceOptions options;
-  options.directory = dir;
-  options.checkpoint_format = kCheckpointFormatText;
-  ASSERT_TRUE(std::filesystem::create_directories(dir));
-  ASSERT_TRUE(WriteFileAtomic(ManifestPath(dir),
-                              BuildServiceManifest(config.shard_count,
-                                                   config))
-                  .ok());
-  std::vector<std::unique_ptr<trust::TrustEngine>> engines;
-  std::vector<std::unique_ptr<ShardPersistence>> shards;
-  for (std::size_t s = 0; s < config.shard_count; ++s) {
-    engines.push_back(std::make_unique<trust::TrustEngine>(config.engine));
-    shards.push_back(std::make_unique<ShardPersistence>(&options, s));
-    ASSERT_TRUE(shards[s]->Recover(engines[s].get()).ok());
-  }
-  const auto admin = [&](const std::string& payload) {
-    for (std::size_t s = 0; s < shards.size(); ++s) {
-      ASSERT_TRUE(shards[s]->Log({payload}).ok());
-      ASSERT_TRUE(ApplyWalOp(payload, engines[s].get()).ok());
-    }
-  };
-  admin(EncodeTaskOp("sense", {0, 1}));
-  admin(EncodeThetaOp(1001, trust::kNoTask, 0.7));
-  admin(EncodeEnvOp(2000, 0.9));
-  for (int i = 0; i < outcomes; ++i) {
-    const OutcomeReport report = CompatReport(i);
-    const std::size_t s =
-        ShardIndexForTrustor(report.trustor, config.shard_count);
-    const std::string payload =
-        EncodeOutcomeOp(report.trustor, report.trustee, report.task,
-                        report.outcome, report.trustor_was_abusive,
-                        report.intermediates);
-    ASSERT_TRUE(shards[s]->Log({payload}).ok());
-    ASSERT_TRUE(ApplyWalOp(payload, engines[s].get()).ok());
-    if (checkpoint_after > 0 && i + 1 == checkpoint_after) {
-      for (std::size_t c = 0; c < shards.size(); ++c) {
-        ASSERT_TRUE(shards[c]->Checkpoint(*engines[c]).ok());
-      }
-    }
-  }
-}
-
 void GenerateFixture(const Flavor& flavor, const std::string& dir) {
   std::filesystem::remove_all(dir);
   const TrustServiceConfig config = MakeConfig();
   if (flavor.text_wal) {
     // Pure v1: the whole script in the pre-binary spelling.
-    BuildV1TextDirectory(dir, kOutcomes, kCheckpointAfter);
+    BuildV1Directory(config, dir, kOutcomes, kCheckpointAfter);
   } else if (flavor.text_checkpoint) {
     // Mixed: a v1 deployment checkpointed (text), then upgraded — the
     // binary-codec service appends the rest, so the WAL tail past the
     // text checkpoint is binary frames.
-    BuildV1TextDirectory(dir, kCheckpointAfter, kCheckpointAfter);
+    BuildV1Directory(config, dir, kCheckpointAfter, kCheckpointAfter);
     PersistenceOptions options;
     options.directory = dir;
     auto service = std::move(TrustService::Open(config, options)).value();
@@ -221,6 +155,39 @@ TEST(CheckpointFormatCompatTest, RegenerateFixtures) {
   }
   for (const Flavor& flavor : kFlavors) {
     GenerateFixture(flavor, FixtureDir(flavor));
+  }
+}
+
+/// Every file of a fixture directory, by name; the liveness lock is a
+/// runtime artifact, not part of the format.
+std::set<std::string> FixtureFiles(const std::string& dir) {
+  std::set<std::string> names;
+  for (const auto& entry : std::filesystem::directory_iterator(dir)) {
+    const std::string name = entry.path().filename().string();
+    if (name != "LOCK") names.insert(name);
+  }
+  return names;
+}
+
+TEST(CheckpointFormatCompatTest, RegeneratedFixturesMatchCommittedBytes) {
+  // The writers' half of the contract: rerunning the fixture script into
+  // a scratch directory lays down exactly the committed bytes, so the
+  // v1 writers in tests/support/ spell v1 the way the pre-binary service
+  // did, and today's service still writes the committed binary bytes.
+  for (const Flavor& flavor : kFlavors) {
+    const std::string committed = FixtureDir(flavor);
+    const std::string regenerated =
+        MakeTestDir(std::string("regen_") + flavor.name);
+    ASSERT_NO_FATAL_FAILURE(GenerateFixture(flavor, regenerated));
+    const std::set<std::string> names = FixtureFiles(committed);
+    ASSERT_EQ(FixtureFiles(regenerated), names) << flavor.name;
+    for (const std::string& name : names) {
+      const auto want = ReadFileToString(committed + "/" + name);
+      const auto got = ReadFileToString(regenerated + "/" + name);
+      ASSERT_TRUE(want.ok() && got.ok()) << flavor.name << "/" << name;
+      EXPECT_EQ(got.value(), want.value()) << flavor.name << "/" << name;
+    }
+    std::filesystem::remove_all(regenerated);
   }
 }
 

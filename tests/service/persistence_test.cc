@@ -35,6 +35,7 @@
 
 #include "common/file_util.h"
 #include "common/rng.h"
+#include "service/checkpoint_codec.h"
 #include "service/trust_service.h"
 #include "sim/parallel_runner.h"
 #include "trust/trust_store_io.h"

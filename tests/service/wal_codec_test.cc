@@ -16,6 +16,7 @@
 #include <gtest/gtest.h>
 
 #include "trust/trust_engine.h"
+#include "tests/support/v1_formats.h"
 #include "trust/trust_store_io.h"
 
 namespace siot::service {

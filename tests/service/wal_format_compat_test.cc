@@ -6,10 +6,11 @@
 // leader, through the kill-point fault harness, and on a tailing
 // follower.
 //
-// The v1 directories are built the way the old service built them:
-// manifest + per-shard ShardPersistence logging the exported v1 text
-// encoders op by op (optionally checkpointing midway), so the bytes on
-// disk are exactly what a pre-binary deployment leaves behind.
+// The v1 directories come from BuildV1Directory (tests/support/), which
+// builds them the way the old service did: manifest + per-shard
+// ShardPersistence logging the v1 text encoders op by op (optionally
+// checkpointing midway), so the bytes on disk are exactly what a
+// pre-binary deployment leaves behind.
 
 #include <cstdint>
 #include <filesystem>
@@ -27,14 +28,12 @@
 #include "service/replication.h"
 #include "service/trust_service.h"
 #include "service/wal_codec.h"
+#include "tests/support/v1_formats.h"
 #include "trust/trust_engine.h"
 #include "trust/trust_store_io.h"
 
 namespace siot::service {
 namespace {
-
-using trust::AgentId;
-using trust::TaskId;
 
 // The frame header layout ([u32 len][u32 crc][u64 seq]) is stable across
 // payload format versions; the classification test builds frames by hand.
@@ -82,79 +81,6 @@ void AppendRaw(const std::string& path, std::string_view bytes) {
 
 // --------------------------------------------------------- op script --
 
-/// Deterministic outcome i of the script. Doubles are picked to need
-/// every bit (1/32 steps and an irrational-ish damage) so "byte-identical
-/// recovery" actually tests the codec's round trip, not round numbers.
-OutcomeReport CompatReport(int i, TaskId task) {
-  OutcomeReport report;
-  report.trustor = static_cast<AgentId>(17 * i % 101);
-  report.trustee = 1000 + static_cast<AgentId>(i % 7);
-  report.task = task;
-  report.outcome.success = i % 3 != 0;
-  report.outcome.gain = 0.5 + 0.03125 * static_cast<double>(i % 11);
-  report.outcome.damage = report.outcome.success ? 0.0 : 0.1 * i;
-  report.outcome.cost = 0.125;
-  report.trustor_was_abusive = i % 5 == 0;
-  if (i % 4 == 0) {
-    report.intermediates = {2000 + static_cast<AgentId>(i % 3)};
-  }
-  return report;
-}
-
-std::string V1OutcomePayload(const OutcomeReport& report) {
-  return EncodeOutcomeOp(report.trustor, report.trustee, report.task,
-                         report.outcome, report.trustor_was_abusive,
-                         report.intermediates);
-}
-
-/// Builds a persistence directory the way the PRE-BINARY service did:
-/// manifest, then v1 text payloads logged op by op (admin ops to every
-/// shard, outcomes routed by ShardIndexForTrustor), checkpointing every
-/// shard after `checkpoint_after` outcomes (0 = never). Writes outcomes
-/// [0, outcomes) of the script on top of the standard admin prologue.
-void BuildV1Directory(const TrustServiceConfig& config,
-                      const std::string& dir, int outcomes,
-                      int checkpoint_after) {
-  PersistenceOptions options;
-  options.directory = dir;
-  // Pre-binary deployments only knew the text checkpoint encoding.
-  options.checkpoint_format = kCheckpointFormatText;
-  ASSERT_TRUE(std::filesystem::create_directories(dir));
-  ASSERT_TRUE(WriteFileAtomic(ManifestPath(dir),
-                              BuildServiceManifest(config.shard_count,
-                                                   config))
-                  .ok());
-  std::vector<std::unique_ptr<trust::TrustEngine>> engines;
-  std::vector<std::unique_ptr<ShardPersistence>> shards;
-  for (std::size_t s = 0; s < config.shard_count; ++s) {
-    engines.push_back(std::make_unique<trust::TrustEngine>(config.engine));
-    shards.push_back(std::make_unique<ShardPersistence>(&options, s));
-    ASSERT_TRUE(shards[s]->Recover(engines[s].get()).ok());
-  }
-  const auto admin = [&](const std::string& payload) {
-    for (std::size_t s = 0; s < shards.size(); ++s) {
-      ASSERT_TRUE(shards[s]->Log({payload}).ok());
-      ASSERT_TRUE(ApplyWalOp(payload, engines[s].get()).ok());
-    }
-  };
-  admin(EncodeTaskOp("sense", {0, 1}));
-  admin(EncodeThetaOp(1001, trust::kNoTask, 0.7));
-  admin(EncodeEnvOp(2000, 0.9));
-  for (int i = 0; i < outcomes; ++i) {
-    const OutcomeReport report = CompatReport(i, 0);
-    const std::size_t s =
-        ShardIndexForTrustor(report.trustor, config.shard_count);
-    const std::string payload = V1OutcomePayload(report);
-    ASSERT_TRUE(shards[s]->Log({payload}).ok());
-    ASSERT_TRUE(ApplyWalOp(payload, engines[s].get()).ok());
-    if (checkpoint_after > 0 && i + 1 == checkpoint_after) {
-      for (std::size_t c = 0; c < shards.size(); ++c) {
-        ASSERT_TRUE(shards[c]->Checkpoint(*engines[c]).ok());
-      }
-    }
-  }
-}
-
 /// Unpersisted single-threaded reference run of the same script: the
 /// admin prologue plus outcomes [0, outcomes).
 std::unique_ptr<TrustService> ReferenceService(
@@ -165,7 +91,7 @@ std::unique_ptr<TrustService> ReferenceService(
       reference->SetReverseThreshold(1001, trust::kNoTask, 0.7).ok());
   EXPECT_TRUE(reference->SetEnvironmentIndicator(2000, 0.9).ok());
   for (int i = 0; i < outcomes; ++i) {
-    EXPECT_TRUE(reference->ReportOutcome(CompatReport(i, 0)).ok());
+    EXPECT_TRUE(reference->ReportOutcome(CompatReport(i)).ok());
   }
   return reference;
 }
@@ -209,7 +135,7 @@ TEST(WalFormatCompatTest, MixedTextThenBinaryWalMatchesPureBinary) {
     // keeps appending — binary frames after text frames in one WAL.
     auto service = std::move(TrustService::Open(config, options)).value();
     for (int i = 24; i < 40; ++i) {
-      ASSERT_TRUE(service->ReportOutcome(CompatReport(i, 0)).ok());
+      ASSERT_TRUE(service->ReportOutcome(CompatReport(i)).ok());
     }
     ASSERT_TRUE(service->SetEnvironmentIndicator(2000, 0.4).ok());
   }
@@ -252,7 +178,7 @@ TEST(WalFormatCompatTest, MixedTextThenBinaryWalMatchesPureBinary) {
       pure_binary->SetReverseThreshold(1001, trust::kNoTask, 0.7).ok());
   ASSERT_TRUE(pure_binary->SetEnvironmentIndicator(2000, 0.9).ok());
   for (int i = 0; i < 40; ++i) {
-    ASSERT_TRUE(pure_binary->ReportOutcome(CompatReport(i, 0)).ok());
+    ASSERT_TRUE(pure_binary->ReportOutcome(CompatReport(i)).ok());
   }
   ASSERT_TRUE(pure_binary->SetEnvironmentIndicator(2000, 0.4).ok());
 
@@ -312,7 +238,7 @@ TEST(WalFormatCompatTest, KillPointsOverAV1PrefixRecoverExactly) {
       int submitted = 0;
       Status failure = Status::OK();
       for (int i = 8; i < 16; ++i) {
-        failure = service->ReportOutcome(CompatReport(i, 0));
+        failure = service->ReportOutcome(CompatReport(i));
         if (!failure.ok()) break;
         ++submitted;
       }
@@ -354,7 +280,7 @@ TEST(WalFormatCompatTest, MixedWalTailClassificationIsExact) {
   {
     auto service = std::move(TrustService::Open(config, options)).value();
     for (int i = 6; i < 12; ++i) {
-      ASSERT_TRUE(service->ReportOutcome(CompatReport(i, 0)).ok());
+      ASSERT_TRUE(service->ReportOutcome(CompatReport(i)).ok());
     }
   }
   const std::string wal_path = ShardWalPath(dir, 0);
@@ -432,7 +358,7 @@ TEST(WalFormatCompatTest, FollowerTailsMixedWalToByteIdenticalState) {
   {
     auto leader = std::move(TrustService::Open(config, options)).value();
     for (int i = 24; i < 40; ++i) {
-      ASSERT_TRUE(leader->ReportOutcome(CompatReport(i, 0)).ok());
+      ASSERT_TRUE(leader->ReportOutcome(CompatReport(i)).ok());
     }
   }
 
