@@ -6,14 +6,30 @@
 
 namespace siot::trust {
 
-PartialInference PartialInfer(
-    const TaskCatalog& catalog, const Task& target,
-    const std::vector<TaskExperience>& experiences) {
-  PartialInference out;
-  out.per_characteristic.assign(target.parts().size(), 0.0);
+namespace {
 
+// Outer sums of Eq. 4 over the characteristics experience covers.
+struct Eq4Sums {
+  CharacteristicMask covered = 0;
   double covered_weight = 0.0;
   double combined = 0.0;
+
+  // Weighted combination renormalized to the covered subset; 0 if nothing
+  // is covered.
+  double Trustworthiness() const {
+    return covered_weight > 0.0 ? combined / covered_weight : 0.0;
+  }
+};
+
+// The one Eq. 4 implementation. `trustworthiness_of(experience)` is an
+// experienced task's TW. When `per_characteristic` is given, entry i
+// receives the inner-sum estimate of every covered part i of `target`.
+template <typename Experiences, typename TrustworthinessOf>
+Eq4Sums Eq4(const TaskCatalog& catalog, const Task& target,
+            const Experiences& experiences,
+            TrustworthinessOf trustworthiness_of,
+            double* per_characteristic = nullptr) {
+  Eq4Sums sums;
   for (std::size_t i = 0; i < target.parts().size(); ++i) {
     const auto& part = target.parts()[i];
     // Inner sum of Eq. 4: weighted average of TW over experienced tasks
@@ -21,54 +37,86 @@ PartialInference PartialInfer(
     // weight inside each experienced task.
     double weight_sum = 0.0;
     double weighted_tw = 0.0;
-    for (const TaskExperience& exp : experiences) {
-      const Task& experienced = catalog.Get(exp.task);
-      const double w = experienced.WeightOf(part.id);
+    for (const auto& exp : experiences) {
+      const double w = catalog.Get(exp.task).WeightOf(part.id);
       if (w <= 0.0) continue;
       weight_sum += w;
-      weighted_tw += w * exp.trustworthiness;
+      weighted_tw += w * trustworthiness_of(exp);
     }
     if (weight_sum > 0.0) {
       const double estimate = weighted_tw / weight_sum;
-      out.per_characteristic[i] = estimate;
-      out.covered |= 1ull << part.id;
-      covered_weight += part.weight;
-      combined += part.weight * estimate;
+      if (per_characteristic != nullptr) per_characteristic[i] = estimate;
+      sums.covered |= 1ull << part.id;
+      sums.covered_weight += part.weight;
+      sums.combined += part.weight * estimate;
     }
   }
-  out.complete = target.CoveredBy(out.covered);
-  out.trustworthiness =
-      covered_weight > 0.0 ? combined / covered_weight : 0.0;
+  return sums;
+}
+
+double ExperienceTrustworthiness(const TaskExperience& exp) {
+  return exp.trustworthiness;
+}
+
+Eq4Sums RecordSums(const TaskCatalog& catalog, const Normalizer& normalizer,
+                   std::span<const PairTaskRecord> records,
+                   const Task& target) {
+  return Eq4(catalog, target, records,
+             [&normalizer](const PairTaskRecord& entry) {
+               return TrustworthinessFromEstimates(entry.record.estimates,
+                                                   normalizer);
+             });
+}
+
+StatusOr<double> CompleteOrError(const Task& target, const Eq4Sums& sums) {
+  if (!target.CoveredBy(sums.covered)) {
+    return Status::FailedPrecondition(StrFormat(
+        "task '%s': characteristics 0x%llx not covered by experience",
+        target.name().c_str(),
+        static_cast<unsigned long long>(target.mask() & ~sums.covered)));
+  }
+  return sums.Trustworthiness();
+}
+
+}  // namespace
+
+PartialInference PartialInfer(
+    const TaskCatalog& catalog, const Task& target,
+    const std::vector<TaskExperience>& experiences) {
+  PartialInference out;
+  out.per_characteristic.assign(target.parts().size(), 0.0);
+  const Eq4Sums sums = Eq4(catalog, target, experiences,
+                           ExperienceTrustworthiness,
+                           out.per_characteristic.data());
+  out.covered = sums.covered;
+  out.complete = target.CoveredBy(sums.covered);
+  out.trustworthiness = sums.Trustworthiness();
   return out;
 }
 
 StatusOr<double> InferTrustworthiness(
     const TaskCatalog& catalog, const Task& target,
     const std::vector<TaskExperience>& experiences) {
-  const PartialInference partial =
-      PartialInfer(catalog, target, experiences);
-  if (!partial.complete) {
-    return Status::FailedPrecondition(StrFormat(
-        "task '%s': characteristics 0x%llx not covered by experience",
-        target.name().c_str(),
-        static_cast<unsigned long long>(target.mask() & ~partial.covered)));
-  }
-  return partial.trustworthiness;
+  return CompleteOrError(
+      target,
+      Eq4(catalog, target, experiences, ExperienceTrustworthiness));
+}
+
+std::optional<double> InferFromRecords(
+    const TaskCatalog& catalog, const Normalizer& normalizer,
+    std::span<const PairTaskRecord> records, const Task& target) {
+  const Eq4Sums sums = RecordSums(catalog, normalizer, records, target);
+  if (!target.CoveredBy(sums.covered)) return std::nullopt;
+  return sums.Trustworthiness();
 }
 
 StatusOr<double> InferFromStore(const TaskCatalog& catalog,
                                 const TrustStore& store,
                                 const Normalizer& normalizer, AgentId trustor,
                                 AgentId trustee, const Task& target) {
-  std::vector<TaskExperience> experiences;
-  const auto records = store.PairRecords(trustor, trustee);
-  experiences.reserve(records.size());
-  for (const PairTaskRecord& entry : records) {
-    experiences.push_back(
-        {entry.task,
-         TrustworthinessFromEstimates(entry.record.estimates, normalizer)});
-  }
-  return InferTrustworthiness(catalog, target, experiences);
+  return CompleteOrError(
+      target, RecordSums(catalog, normalizer,
+                         store.PairRecords(trustor, trustee), target));
 }
 
 }  // namespace siot::trust

@@ -14,6 +14,8 @@
 #ifndef SIOT_TRUST_INFERENCE_H_
 #define SIOT_TRUST_INFERENCE_H_
 
+#include <optional>
+#include <span>
 #include <vector>
 
 #include "common/status.h"
@@ -54,9 +56,18 @@ StatusOr<double> InferTrustworthiness(
 PartialInference PartialInfer(const TaskCatalog& catalog, const Task& target,
                               const std::vector<TaskExperience>& experiences);
 
-/// Convenience: gathers trustor→trustee experiences from the store
-/// (Eq. 18 trustworthiness per experienced task) and applies Eq. 4 to
-/// `target`. Errors if no experience covers some characteristic.
+/// Status-free Eq. 4 over one (trustor, trustee) pair's records (a
+/// TrustStore::PairRecords span), each experienced task weighing in with
+/// its Eq. 18 trustworthiness under `normalizer`. nullopt when some
+/// characteristic of `target` is not covered; the value is bitwise the
+/// one InferFromStore returns. This is the probe the delegation path runs
+/// per candidate, so a miss costs no Status and no allocation.
+std::optional<double> InferFromRecords(
+    const TaskCatalog& catalog, const Normalizer& normalizer,
+    std::span<const PairTaskRecord> records, const Task& target);
+
+/// InferFromRecords over the store's trustor→trustee records, with a
+/// FailedPrecondition naming the uncovered characteristics on a miss.
 StatusOr<double> InferFromStore(const TaskCatalog& catalog,
                                 const TrustStore& store,
                                 const Normalizer& normalizer, AgentId trustor,

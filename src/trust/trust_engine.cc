@@ -31,16 +31,17 @@ double TrustEngine::PreEvaluate(AgentId trustor, AgentId trustee,
 OutcomeEstimates TrustEngine::EstimateOutcomes(AgentId trustor,
                                                AgentId trustee,
                                                TaskId task) const {
-  if (const auto direct = store_.Find(trustor, trustee, task);
-      direct.has_value()) {
-    return direct->estimates;
+  // One pair probe serves all three sources.
+  const auto records = store_.PairRecords(trustor, trustee);
+  // First contact: no experience with this trustee on any task.
+  if (records.empty()) return config_.initial_estimates;
+  if (const PairTaskRecord* direct = FindTaskRecord(records, task)) {
+    return direct->record.estimates;
   }
   // Inferential transfer from analogous tasks (Eq. 4).
-  const auto inferred = InferFromStore(catalog_, store_, normalizer_,
-                                       trustor, trustee,
-                                       catalog_.Get(task));
-  if (inferred.ok()) {
-    return EstimatesFromTrustworthiness(inferred.value(), normalizer_);
+  if (const auto inferred = InferFromRecords(catalog_, normalizer_, records,
+                                             catalog_.Get(task))) {
+    return EstimatesFromTrustworthiness(*inferred, normalizer_);
   }
   // No covering experience: fall back to the first-contact estimates.
   return config_.initial_estimates;
@@ -57,29 +58,27 @@ DelegationRequestResult TrustEngine::RequestDelegation(
         TrustworthinessFromEstimates(*self_estimates, normalizer_);
     result.expected_profit = ExpectedNetProfit(*self_estimates);
   };
-  std::vector<CandidateEvaluation> evaluations;
-  std::vector<OutcomeEstimates> estimates;
-  evaluations.reserve(candidates.size());
-  estimates.reserve(candidates.size());
+  // Candidates in ascending agent id, trustor dropped. With RankCandidates'
+  // stable sort, score ties break by ascending agent id (the Fig. 2
+  // helper's rule), so the chosen trustee never depends on the caller's
+  // candidate ordering. Graph neighbour lists arrive sorted already.
+  std::vector<AgentId> agents;
+  agents.reserve(candidates.size());
   for (AgentId candidate : candidates) {
-    if (candidate == trustor) continue;
-    evaluations.push_back(
-        {candidate, EstimateOutcomes(trustor, candidate, task)});
+    if (candidate != trustor) agents.push_back(candidate);
   }
-  // Pre-sorting by agent id + RankCandidates' stable sort = score ties
-  // break by ascending agent id (the Fig. 2 helper's rule), so the chosen
-  // trustee never depends on the caller's candidate ordering.
-  std::sort(evaluations.begin(), evaluations.end(),
-            [](const CandidateEvaluation& a, const CandidateEvaluation& b) {
-              return a.agent < b.agent;
-            });
-  for (const CandidateEvaluation& evaluation : evaluations) {
-    estimates.push_back(evaluation.estimates);
-  }
-  if (evaluations.empty()) {
+  if (agents.empty()) {
     result.no_candidates = true;
     if (self_estimates.has_value()) self_execute();
     return result;
+  }
+  if (!std::is_sorted(agents.begin(), agents.end())) {
+    std::sort(agents.begin(), agents.end());
+  }
+  std::vector<OutcomeEstimates> estimates;
+  estimates.reserve(agents.size());
+  for (AgentId agent : agents) {
+    estimates.push_back(EstimateOutcomes(trustor, agent, task));
   }
   // Fig. 2 walk over the strategy ranking (the same RankCandidates order
   // DecideDelegation picks its winner from). Each step visits the best
@@ -89,21 +88,21 @@ DelegationRequestResult TrustEngine::RequestDelegation(
   // self-execution, the trustor keeps the task.
   for (const std::size_t index :
        RankCandidates(estimates, config_.strategy)) {
-    const CandidateEvaluation& candidate = evaluations[index];
+    const AgentId agent = agents[index];
+    const OutcomeEstimates& candidate = estimates[index];
     if (self_estimates.has_value() &&
-        !ShouldDelegate(candidate.estimates, *self_estimates)) {
+        !ShouldDelegate(candidate, *self_estimates)) {
       self_execute();
       return result;
     }
-    if (reverse_evaluator_.AcceptsDelegation(candidate.agent, trustor,
-                                             task)) {
-      result.trustee = candidate.agent;
+    if (reverse_evaluator_.AcceptsDelegation(agent, trustor, task)) {
+      result.trustee = agent;
       result.trustworthiness =
-          TrustworthinessFromEstimates(candidate.estimates, normalizer_);
-      result.expected_profit = ExpectedNetProfit(candidate.estimates);
+          TrustworthinessFromEstimates(candidate, normalizer_);
+      result.expected_profit = ExpectedNetProfit(candidate);
       return result;
     }
-    result.refusals.push_back(candidate.agent);
+    result.refusals.push_back(agent);
   }
   // Every candidate refused; execute the task oneself when possible.
   result.unavailable = true;

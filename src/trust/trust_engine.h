@@ -104,17 +104,24 @@ class TrustEngine {
   /// synthesized from the Eq. 4 inferred trustworthiness
   /// (EstimatesFromTrustworthiness), else the configured initial estimates.
   /// This is what the delegation decision ranks (Eqs. 23–24 need all four
-  /// quantities, not just the folded Eq. 18 scalar).
+  /// quantities, not just the folded Eq. 18 scalar). One PairRecords probe
+  /// serves all three sources: an empty span is first contact, a binary
+  /// search of the span finds the direct record, and the status-free
+  /// InferFromRecords runs Eq. 4 over the same span. A miss allocates
+  /// nothing and builds no Status.
   OutcomeEstimates EstimateOutcomes(AgentId trustor, AgentId trustee,
                                     TaskId task) const;
 
-  /// Full Eq. 1 / Fig. 2 / §4.4 delegation request: gathers each
-  /// candidate's outcome estimates (EstimateOutcomes), ranks them under
-  /// the configured selection strategy (RankCandidates, the Eq. 23
-  /// ordering DecideDelegation picks its one-shot winner from; score ties
-  /// break by ascending agent id, so the outcome is independent of the
-  /// caller's candidate ordering), and walks the ranking through the
-  /// candidates' reverse evaluations until one accepts. When
+  /// Full Eq. 1 / Fig. 2 / §4.4 delegation request: orders the candidates
+  /// (trustor dropped) by ascending agent id, skipping the sort when they
+  /// arrive sorted, as graph neighbour lists do; gathers each one's
+  /// outcome estimates (EstimateOutcomes); ranks them under the configured
+  /// selection strategy (RankCandidates, the Eq. 23 ordering
+  /// DecideDelegation picks its one-shot winner from; its stable sort
+  /// breaks score ties by that ascending agent id, so the outcome is
+  /// independent of the caller's candidate ordering); and walks the
+  /// ranking through the candidates' reverse evaluations until one
+  /// accepts. When
   /// `self_estimates` is provided, the Eq. 24 comparison runs
   /// against the strategy-chosen best still-willing candidate at every
   /// step: the moment that candidate fails to strictly beat self-execution,

@@ -19,30 +19,18 @@ std::vector<PairTaskRecord>::iterator LowerBoundTask(
                           });
 }
 
-const PairTaskRecord* FindTask(const std::vector<PairTaskRecord>& entries,
-                               TaskId task) {
-  const auto it = std::lower_bound(entries.begin(), entries.end(), task,
-                                   [](const PairTaskRecord& entry, TaskId t) {
-                                     return entry.task < t;
-                                   });
-  if (it == entries.end() || it->task != task) return nullptr;
-  return &*it;
-}
-
 }  // namespace
 
 std::optional<TrustRecord> TrustStore::Find(AgentId trustor, AgentId trustee,
                                             TaskId task) const {
-  const auto it = pairs_.find(PairKey{trustor, trustee});
-  if (it == pairs_.end()) return std::nullopt;
-  const PairTaskRecord* entry = FindTask(it->second, task);
+  const PairTaskRecord* entry =
+      FindTaskRecord(PairRecords(trustor, trustee), task);
   if (entry == nullptr) return std::nullopt;
   return entry->record;
 }
 
 bool TrustStore::Has(AgentId trustor, AgentId trustee, TaskId task) const {
-  const auto it = pairs_.find(PairKey{trustor, trustee});
-  return it != pairs_.end() && FindTask(it->second, task) != nullptr;
+  return FindTaskRecord(PairRecords(trustor, trustee), task) != nullptr;
 }
 
 TrustRecord& TrustStore::Upsert(AgentId trustor, AgentId trustee, TaskId task,

@@ -8,15 +8,19 @@
 // Layout: pair-major. Records are indexed by the directed (trustor,
 // trustee) pair first; each pair owns a small vector of per-task records
 // kept sorted by task id. Every per-pair query — Find, Has, GetOrCreate,
-// ExperiencedTasks, and the PairRecords span the overlays iterate — costs
-// one hash probe plus a binary search over that pair's few tasks, instead
-// of scanning the whole store. This is what keeps the §5.5 transitivity
-// sweep linear in the work it actually does: an agent pair experiences a
-// handful of task types even when the store holds millions of records.
+// ExperiencedTasks, and the PairRecords span the overlays and
+// TrustEngine::EstimateOutcomes iterate — costs one hash probe plus a
+// binary search over that pair's few tasks (FindTaskRecord on a span),
+// instead of scanning the whole store. This is what keeps the §5.5
+// transitivity sweep linear in the work it actually does: an agent pair
+// experiences a handful of task types even when the store holds millions
+// of records. It also lets EstimateOutcomes answer the direct record,
+// Eq. 4 inference and first contact from one probe.
 
 #ifndef SIOT_TRUST_TRUST_STORE_H_
 #define SIOT_TRUST_TRUST_STORE_H_
 
+#include <algorithm>
 #include <optional>
 #include <span>
 #include <unordered_map>
@@ -63,6 +67,18 @@ struct PairTaskRecord {
   TaskId task = kNoTask;
   TrustRecord record;
 };
+
+/// The record for `task` in a pair's task-sorted records (a PairRecords
+/// span), found by binary search; nullptr if the pair has none.
+inline const PairTaskRecord* FindTaskRecord(
+    std::span<const PairTaskRecord> records, TaskId task) {
+  const auto it = std::lower_bound(records.begin(), records.end(), task,
+                                   [](const PairTaskRecord& entry, TaskId t) {
+                                     return entry.task < t;
+                                   });
+  if (it == records.end() || it->task != task) return nullptr;
+  return &*it;
+}
 
 /// Directed trust-record store (pair-major; see file comment).
 class TrustStore {

@@ -106,12 +106,16 @@ StatusOr<std::size_t> SelectBestCandidate(
 std::vector<std::size_t> RankCandidates(
     const std::vector<OutcomeEstimates>& candidates,
     SelectionStrategy strategy) {
+  // Score each candidate once rather than once per comparison.
+  std::vector<double> scores(candidates.size());
   std::vector<std::size_t> order(candidates.size());
-  for (std::size_t i = 0; i < order.size(); ++i) order[i] = i;
+  for (std::size_t i = 0; i < order.size(); ++i) {
+    scores[i] = StrategyScore(candidates[i], strategy);
+    order[i] = i;
+  }
   std::stable_sort(order.begin(), order.end(),
                    [&](std::size_t a, std::size_t b) {
-                     return StrategyScore(candidates[a], strategy) >
-                            StrategyScore(candidates[b], strategy);
+                     return scores[a] > scores[b];
                    });
   return order;
 }

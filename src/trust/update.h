@@ -127,9 +127,10 @@ StatusOr<std::size_t> SelectBestCandidate(
 
 /// Full ranking under `strategy`: candidate indices ordered by descending
 /// strategy score (Ŝ for kMaxSuccessRate, Eq. 23 net profit for
-/// kMaxNetProfit). Ties keep input order (stable), so the first entry
-/// always agrees with SelectBestCandidate. The delegation request walks
-/// this ranking through the candidates' reverse evaluations (Fig. 2).
+/// kMaxNetProfit), each computed once. Ties keep input order (stable), so
+/// the first entry always agrees with SelectBestCandidate. The delegation
+/// request walks this ranking through the candidates' reverse evaluations
+/// (Fig. 2).
 std::vector<std::size_t> RankCandidates(
     const std::vector<OutcomeEstimates>& candidates,
     SelectionStrategy strategy);

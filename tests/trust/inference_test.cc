@@ -4,6 +4,11 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
+
+#include "common/rng.h"
+
 namespace siot::trust {
 namespace {
 
@@ -144,6 +149,63 @@ TEST_F(InferenceTest, MaliciousHistoryPropagatesToAnalogousTasks) {
   ASSERT_TRUE(honest.ok());
   ASSERT_TRUE(dishonest.ok());
   EXPECT_GT(honest.value(), dishonest.value());
+}
+
+// InferFromStore is a wrapper over the status-free InferFromRecords probe:
+// ok() exactly when the probe has a value, the same bits when it does, and
+// a FailedPrecondition on a miss. Both match Eq. 4 over the experiences
+// gathered from the same records (InferFromStore's former body).
+TEST_F(InferenceTest, InferFromStoreWrapsInferFromRecords) {
+  Rng rng(14);
+  const auto step = [&rng] {
+    return static_cast<double>(rng.NextBounded(5)) / 4.0;
+  };
+  std::size_t hits = 0, misses = 0;
+  for (const NormalizationRange range :
+       {NormalizationRange::kUnit, NormalizationRange::kSigned}) {
+    const Normalizer n(range, 2.0);
+    TrustStore store;
+    for (AgentId trustee = 0; trustee < 64; ++trustee) {
+      const std::uint64_t records = rng.NextBounded(4);  // 0: absent pair
+      for (std::uint64_t r = 0; r < records; ++r) {
+        const auto task = static_cast<TaskId>(rng.NextBounded(catalog_.size()));
+        store.Put(0, trustee, task,
+                  {step(), 2 * step(), 2 * step(), 2 * step()});
+      }
+    }
+    for (AgentId trustee = 0; trustee < 64; ++trustee) {
+      const auto records = store.PairRecords(0, trustee);
+      std::vector<TaskExperience> experiences;
+      for (const PairTaskRecord& entry : records) {
+        experiences.push_back(
+            {entry.task,
+             TrustworthinessFromEstimates(entry.record.estimates, n)});
+      }
+      for (TaskId t = 0; t < catalog_.size(); ++t) {
+        const Task& target = catalog_.Get(t);
+        const std::optional<double> probe =
+            InferFromRecords(catalog_, n, records, target);
+        const StatusOr<double> wrapped =
+            InferFromStore(catalog_, store, n, 0, trustee, target);
+        const StatusOr<double> gathered =
+            InferTrustworthiness(catalog_, target, experiences);
+        ASSERT_EQ(wrapped.ok(), probe.has_value());
+        ASSERT_EQ(gathered.ok(), probe.has_value());
+        if (probe.has_value()) {
+          ++hits;
+          EXPECT_EQ(std::bit_cast<std::uint64_t>(wrapped.value()),
+                    std::bit_cast<std::uint64_t>(*probe));
+          EXPECT_EQ(std::bit_cast<std::uint64_t>(gathered.value()),
+                    std::bit_cast<std::uint64_t>(*probe));
+        } else {
+          ++misses;
+          EXPECT_EQ(wrapped.status().code(), StatusCode::kFailedPrecondition);
+        }
+      }
+    }
+  }
+  EXPECT_GT(hits, 0u);
+  EXPECT_GT(misses, 0u);
 }
 
 }  // namespace

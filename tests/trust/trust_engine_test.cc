@@ -4,6 +4,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
+#include <cmath>
+#include <cstdint>
+
+#include "common/rng.h"
+
 namespace siot::trust {
 namespace {
 
@@ -348,6 +355,262 @@ TEST_F(TrustEngineTest, AbuserEventuallyLockedOut) {
                           /*trustor_was_abusive=*/true);
   }
   EXPECT_TRUE(locked_out);
+}
+
+// Reference for the differential test below, the straightforward
+// delegation path: per candidate a Find, then InferFromStore, then the
+// initial estimates; an id sort of every candidate list; a ranking that
+// scores inside its comparator. RequestDelegation, EstimateOutcomes and
+// PreEvaluate must match it bit for bit.
+OutcomeEstimates ReferenceEstimateOutcomes(const TrustEngine& engine,
+                                           AgentId trustor, AgentId trustee,
+                                           TaskId task) {
+  if (const auto direct = engine.store().Find(trustor, trustee, task);
+      direct.has_value()) {
+    return direct->estimates;
+  }
+  const auto inferred =
+      InferFromStore(engine.catalog(), engine.store(), engine.normalizer(),
+                     trustor, trustee, engine.catalog().Get(task));
+  if (inferred.ok()) {
+    return EstimatesFromTrustworthiness(inferred.value(),
+                                        engine.normalizer());
+  }
+  return engine.config().initial_estimates;
+}
+
+std::vector<std::size_t> ReferenceRank(
+    const std::vector<OutcomeEstimates>& candidates,
+    SelectionStrategy strategy) {
+  const auto score = [strategy](const OutcomeEstimates& e) {
+    return strategy == SelectionStrategy::kMaxSuccessRate
+               ? e.success_rate
+               : ExpectedNetProfit(e);
+  };
+  std::vector<std::size_t> order(candidates.size());
+  for (std::size_t i = 0; i < order.size(); ++i) order[i] = i;
+  std::stable_sort(order.begin(), order.end(),
+                   [&](std::size_t a, std::size_t b) {
+                     return score(candidates[a]) > score(candidates[b]);
+                   });
+  return order;
+}
+
+DelegationRequestResult ReferenceRequestDelegation(
+    const TrustEngine& engine, AgentId trustor, TaskId task,
+    const std::vector<AgentId>& candidates,
+    const std::optional<OutcomeEstimates>& self_estimates) {
+  DelegationRequestResult result;
+  const auto self_execute = [&] {
+    result.trustee = trustor;
+    result.self_execution = true;
+    result.trustworthiness =
+        TrustworthinessFromEstimates(*self_estimates, engine.normalizer());
+    result.expected_profit = ExpectedNetProfit(*self_estimates);
+  };
+  std::vector<CandidateEvaluation> evaluations;
+  std::vector<OutcomeEstimates> estimates;
+  for (AgentId candidate : candidates) {
+    if (candidate == trustor) continue;
+    evaluations.push_back(
+        {candidate,
+         ReferenceEstimateOutcomes(engine, trustor, candidate, task)});
+  }
+  std::sort(evaluations.begin(), evaluations.end(),
+            [](const CandidateEvaluation& a, const CandidateEvaluation& b) {
+              return a.agent < b.agent;
+            });
+  for (const CandidateEvaluation& evaluation : evaluations) {
+    estimates.push_back(evaluation.estimates);
+  }
+  if (evaluations.empty()) {
+    result.no_candidates = true;
+    if (self_estimates.has_value()) self_execute();
+    return result;
+  }
+  for (const std::size_t index :
+       ReferenceRank(estimates, engine.config().strategy)) {
+    const CandidateEvaluation& candidate = evaluations[index];
+    if (self_estimates.has_value() &&
+        !ShouldDelegate(candidate.estimates, *self_estimates)) {
+      self_execute();
+      return result;
+    }
+    if (engine.reverse_evaluator().AcceptsDelegation(candidate.agent,
+                                                     trustor, task)) {
+      result.trustee = candidate.agent;
+      result.trustworthiness = TrustworthinessFromEstimates(
+          candidate.estimates, engine.normalizer());
+      result.expected_profit = ExpectedNetProfit(candidate.estimates);
+      return result;
+    }
+    result.refusals.push_back(candidate.agent);
+  }
+  result.unavailable = true;
+  if (self_estimates.has_value()) self_execute();
+  return result;
+}
+
+std::uint64_t Bits(double value) { return std::bit_cast<std::uint64_t>(value); }
+
+void ExpectBitwiseEqual(const OutcomeEstimates& actual,
+                        const OutcomeEstimates& expected) {
+  EXPECT_EQ(Bits(actual.success_rate), Bits(expected.success_rate));
+  EXPECT_EQ(Bits(actual.gain), Bits(expected.gain));
+  EXPECT_EQ(Bits(actual.damage), Bits(expected.damage));
+  EXPECT_EQ(Bits(actual.cost), Bits(expected.cost));
+}
+
+constexpr AgentId kDiffAgents = 12;
+constexpr OutcomeEstimates kDiffInitial{0.5, 0.5, 0.5, 0.5};
+
+// Estimates on a coarse grid (so strategy scores tie often), now and then
+// equal to the first-contact estimates or carrying a NaN.
+OutcomeEstimates RandomEstimates(Rng& rng) {
+  const auto step = [&rng] {
+    return static_cast<double>(rng.NextBounded(5)) / 4.0;
+  };
+  const std::uint64_t kind = rng.NextBounded(20);
+  if (kind == 0) return kDiffInitial;
+  OutcomeEstimates e{step(), step(), step(), step()};
+  if (kind == 1) e.success_rate = std::nan("");
+  return e;
+}
+
+// A seeded engine whose store mixes absent pairs, pairs with a direct
+// record, and pairs whose records only partly cover the other tasks.
+TrustEngine RandomEngine(std::uint64_t seed, SelectionStrategy strategy) {
+  TrustEngineConfig config;
+  config.initial_estimates = kDiffInitial;
+  config.strategy = strategy;
+  TrustEngine engine(config);
+  TaskCatalog& catalog = engine.catalog();
+  catalog.AddUniform("a", {0}).value();
+  catalog.AddUniform("b", {1}).value();
+  catalog.AddUniform("c", {2}).value();
+  catalog.AddUniform("ab", {0, 1}).value();
+  catalog.Add("bc", {{1, 3.0}, {2, 1.0}}).value();
+  catalog.Add("acd", {{0, 1.0}, {2, 2.0}, {3, 0.5}}).value();
+  catalog.AddUniform("de", {3, 4}).value();
+  Rng rng(seed);
+  for (AgentId trustor = 0; trustor < kDiffAgents; ++trustor) {
+    for (AgentId trustee = 0; trustee < kDiffAgents; ++trustee) {
+      if (rng.Bernoulli(0.5)) continue;  // absent pair
+      const std::uint64_t records = 1 + rng.NextBounded(3);
+      for (std::uint64_t r = 0; r < records; ++r) {
+        const auto task = static_cast<TaskId>(rng.NextBounded(catalog.size()));
+        engine.store().Put(trustor, trustee, task, RandomEstimates(rng));
+      }
+    }
+  }
+  ReverseEvaluator& reverse = engine.reverse_evaluator();
+  reverse.SetDefaultThreshold(rng.Bernoulli(0.5) ? 0.0 : 0.45);
+  for (AgentId trustee = 0; trustee < kDiffAgents; ++trustee) {
+    if (rng.Bernoulli(0.25)) {
+      reverse.SetThreshold(trustee, kNoTask, rng.Uniform(0.3, 0.8));
+    }
+    for (AgentId trustor = 0; trustor < kDiffAgents; ++trustor) {
+      const std::uint64_t uses = rng.NextBounded(4);
+      for (std::uint64_t u = 0; u < uses; ++u) {
+        reverse.RecordUsage(trustee, trustor, rng.Bernoulli(0.5));
+      }
+    }
+  }
+  return engine;
+}
+
+TEST_F(TrustEngineTest, RequestDelegationMatchesReferenceRanking) {
+  std::size_t refusals = 0, self_executions = 0, unavailable = 0;
+  std::size_t no_candidates = 0, delegated = 0;
+  for (const SelectionStrategy strategy :
+       {SelectionStrategy::kMaxNetProfit,
+        SelectionStrategy::kMaxSuccessRate}) {
+    for (std::uint64_t seed = 1; seed <= 40; ++seed) {
+      SCOPED_TRACE(testing::Message() << "seed " << seed);
+      const TrustEngine engine = RandomEngine(seed, strategy);
+      Rng rng(seed * 7919);
+      const auto agent = [&rng] {
+        return static_cast<AgentId>(rng.NextBounded(kDiffAgents));
+      };
+      for (int request = 0; request < 60; ++request) {
+        const AgentId trustor = agent();
+        const auto t =
+            static_cast<TaskId>(rng.NextBounded(engine.catalog().size()));
+        // Unsorted, duplicated, sorted, and self-including lists.
+        std::vector<AgentId> candidates(rng.NextBounded(9));
+        for (AgentId& candidate : candidates) candidate = agent();
+        if (rng.Bernoulli(0.4)) {
+          std::sort(candidates.begin(), candidates.end());
+        }
+        std::optional<OutcomeEstimates> self;
+        if (rng.Bernoulli(0.5)) self = RandomEstimates(rng);
+
+        const DelegationRequestResult actual =
+            engine.RequestDelegation(trustor, t, candidates, self);
+        const DelegationRequestResult expected = ReferenceRequestDelegation(
+            engine, trustor, t, candidates, self);
+        EXPECT_EQ(actual.trustee, expected.trustee);
+        EXPECT_EQ(actual.refusals, expected.refusals);
+        EXPECT_EQ(actual.no_candidates, expected.no_candidates);
+        EXPECT_EQ(actual.unavailable, expected.unavailable);
+        EXPECT_EQ(actual.self_execution, expected.self_execution);
+        EXPECT_EQ(Bits(actual.trustworthiness),
+                  Bits(expected.trustworthiness));
+        EXPECT_EQ(Bits(actual.expected_profit),
+                  Bits(expected.expected_profit));
+        refusals += expected.refusals.size();
+        self_executions += expected.self_execution;
+        unavailable += expected.unavailable;
+        no_candidates += expected.no_candidates;
+        delegated += !expected.self_execution &&
+                     expected.trustee != kNoAgent;
+
+        for (const AgentId trustee : candidates) {
+          ExpectBitwiseEqual(
+              engine.EstimateOutcomes(trustor, trustee, t),
+              ReferenceEstimateOutcomes(engine, trustor, trustee, t));
+          EXPECT_EQ(
+              Bits(engine.PreEvaluate(trustor, trustee, t)),
+              Bits(TrustworthinessFromEstimates(
+                  ReferenceEstimateOutcomes(engine, trustor, trustee, t),
+                  engine.normalizer())));
+        }
+      }
+    }
+  }
+  // The inputs reached every outcome the comparison is meant to cover.
+  EXPECT_GT(refusals, 0u);
+  EXPECT_GT(self_executions, 0u);
+  EXPECT_GT(unavailable, 0u);
+  EXPECT_GT(no_candidates, 0u);
+  EXPECT_GT(delegated, 0u);
+}
+
+TEST_F(TrustEngineTest, DifferentialStoresReachEverySource) {
+  // Guards the differential test's inputs: direct records, Eq. 4
+  // inference and first contact must all occur in its stores.
+  std::size_t direct = 0, inferred = 0, initial = 0;
+  const TrustEngine engine =
+      RandomEngine(/*seed=*/1, SelectionStrategy::kMaxNetProfit);
+  for (AgentId trustor = 0; trustor < kDiffAgents; ++trustor) {
+    for (AgentId trustee = 0; trustee < kDiffAgents; ++trustee) {
+      for (TaskId t = 0; t < engine.catalog().size(); ++t) {
+        if (engine.store().Has(trustor, trustee, t)) {
+          ++direct;
+        } else if (InferFromStore(engine.catalog(), engine.store(),
+                                  engine.normalizer(), trustor, trustee,
+                                  engine.catalog().Get(t))
+                       .ok()) {
+          ++inferred;
+        } else {
+          ++initial;
+        }
+      }
+    }
+  }
+  EXPECT_GT(direct, 0u);
+  EXPECT_GT(inferred, 0u);
+  EXPECT_GT(initial, 0u);
 }
 
 }  // namespace
