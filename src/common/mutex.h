@@ -10,10 +10,12 @@
 // members are statically nameable; per-shard locks are dynamic and only
 // ordered here and by the index-order convention). The shard tier is
 // ShardedEngineSet's, shared by both services:
-//   TrustService:   admin_mutex_ -> shard.mutex (ascending shard index)
-//                   -> background_mutex_
-//   ReplicaService: build_mutex_ -> shard.mutex (ascending shard index)
-//                   -> rebuild_mutex_ / poll_mutex_
+//   TrustService:     admin_mutex_ -> shard.mutex (ascending shard index)
+//                     -> background_mutex_
+//   ReplicaService:   shard.mutex -> poll_mutex_
+//   ShardedEngineSet: build_mutex_ -> shard.mutex (ascending shard index)
+//                     -> OverlaySnapshotIndex::mutex_ (overlay rebuilds,
+//                     on both roles; never nested with admin_mutex_)
 //   GroupCommitter::mutex_ is a leaf: no other siot lock is ever taken
 //   under it (WAL fds are flushed with it released).
 

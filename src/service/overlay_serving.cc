@@ -69,7 +69,8 @@ Status OverlaySnapshotIndex::Publish(
     params = params_;
   }
   // The expensive part — one hop cache per catalog task over every
-  // directed edge — runs here, with no service lock of any kind held.
+  // directed edge — runs here, with no shard lock held (only the
+  // rebuild-serializing build mutex, which queries never take).
   auto search = std::make_unique<trust::TransitivitySearch>(
       snapshot->snapshot(), snapshot->catalog(), std::move(params));
   std::vector<trust::TaskId> tasks(snapshot->catalog().size());

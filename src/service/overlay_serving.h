@@ -91,7 +91,9 @@ class OverlaySnapshotIndex {
   /// (fanned out via `executor` when provided), seals the search, and
   /// atomically publishes. The caller must NOT hold shard locks — this
   /// is the expensive step the snapshot design keeps lock-free.
-  /// `assembly_cost` is the lock-holding build time, for Info().
+  /// `assembly_cost` is the lock-holding build time, for Info(). The
+  /// last call wins, so concurrent builders must serialize their
+  /// cut-and-publish (ShardedEngineSet::RebuildOverlaySnapshot does).
   Status Publish(
       std::shared_ptr<const trust::VersionedOverlaySnapshot> snapshot,
       std::chrono::milliseconds assembly_cost = std::chrono::milliseconds{0},

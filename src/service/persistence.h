@@ -99,11 +99,8 @@ struct PersistenceOptions {
   /// batch). Off by default: the bench shows the gap, deployments choose.
   bool sync_every_append = false;
   /// Checkpoint a shard inline once this many WAL appends accumulate
-  /// since its last checkpoint (0 = only explicit/periodic checkpoints).
+  /// since its last checkpoint (0 = only explicit Checkpoint() calls).
   std::size_t checkpoint_every_appends = 0;
-  /// Background thread checkpoints dirty shards this often
-  /// (0 = no background thread).
-  std::chrono::milliseconds checkpoint_period{0};
   /// Cross-shard group commit (only meaningful with sync_every_append):
   /// instead of every shard fsyncing its own WAL inline, concurrent
   /// durable appends enroll in a GroupCommitter that coalesces them into

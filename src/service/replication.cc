@@ -8,10 +8,10 @@
 
 #include <cerrno>
 #include <limits>
+#include <thread>
 #include <utility>
 
 #include "common/file_util.h"
-#include "common/logging.h"
 #include "common/string_util.h"
 #include "service/checkpoint_codec.h"
 
@@ -65,10 +65,7 @@ ReplicaService::ReplicaService(const TrustServiceConfig& config,
 }
 
 ReplicaService::~ReplicaService() {
-  StopRebuildThread();
-  StopPollThread();
-  // Both background threads are joined; the locks below are uncontended
-  // and keep the guarded fd reads provable.
+  // Uncontended; the locks keep the guarded fd reads provable.
   for (std::size_t s = 0; s < shard_count(); ++s) {
     FollowerShard& shard = ShardAt(s);
     const WriterLock lock(&shard.mutex);
@@ -111,13 +108,9 @@ StatusOr<std::unique_ptr<ReplicaService>> ReplicaService::Open(
   if (const auto polled = replica->PollAll(); !polled.ok()) {
     return polled.status();
   }
-  if (options.poll_period.count() > 0) replica->StartPollThread();
   if (options.overlay_graph != nullptr) {
     SIOT_RETURN_IF_ERROR(replica->engines_.EnableTransitiveServing(
         options.overlay_graph, options.transitivity));
-    if (options.snapshot_rebuild_period.count() > 0) {
-      replica->StartRebuildThread();
-    }
   }
   return replica;
 }
@@ -339,8 +332,8 @@ StatusOr<std::size_t> ReplicaService::PollAll() {
     const WriterLock lock(&shard.mutex);
     const auto polled = PollShardLocked(shard);
     if (!polled.ok()) {
-      // poll_mutex_ nests UNDER the shard lock here — shard.mutex is
-      // rank 2, poll_mutex_ rank 3 (see the member's comment).
+      // poll_mutex_ nests UNDER the shard lock here — it is the leaf
+      // (see the member's comment).
       const MutexLock g(&poll_mutex_);
       if (tail_status_.ok()) tail_status_ = polled.status();
       failure = polled.status();
@@ -358,16 +351,9 @@ Status ReplicaService::AwaitPositions(
     std::span<const ShardWalPosition> targets,
     std::chrono::milliseconds timeout) {
   const auto deadline = std::chrono::steady_clock::now() + timeout;
-  // With a background tailer we only watch its progress; without one,
-  // this call drives the polls itself.
-  const bool drive = options_.poll_period.count() == 0;
   for (;;) {
-    if (drive) {
-      if (const auto polled = PollAll(); !polled.ok()) {
-        return polled.status();
-      }
-    } else if (Status tail = TailStatus(); !tail.ok()) {
-      return tail;
+    if (const auto polled = PollAll(); !polled.ok()) {
+      return polled.status();
     }
     bool reached = true;
     for (const ShardWalPosition& target : targets) {
@@ -390,8 +376,7 @@ Status ReplicaService::AwaitPositions(
           "%lld ms",
           static_cast<long long>(timeout.count())));
     }
-    std::this_thread::sleep_for(std::chrono::microseconds(drive ? 200
-                                                                : 1000));
+    std::this_thread::sleep_for(std::chrono::microseconds(200));
   }
 }
 
@@ -452,11 +437,9 @@ std::vector<ShardReplicationLag> ReplicaService::ReplicationLag() const {
 
 Status ReplicaService::BuildOverlaySnapshot() {
   SIOT_RETURN_IF_ERROR(CheckServing());
-  // One assembly at a time (owner-driven rebuilds can race the
-  // background thread); queries are untouched by this mutex. Holding the
-  // shard read locks for the assembly stalls only this follower's tailer
-  // (bounded extra staleness); the LEADER's shard locks are never taken.
-  const MutexLock build_lock(&build_mutex_);
+  // Holding the shard read locks for the assembly stalls only this
+  // follower's polls (bounded extra staleness); the LEADER's shard locks
+  // are never taken.
   return engines_.RebuildOverlaySnapshot(
       [](const ShardedEngineSet::Shard& base) -> std::uint64_t {
         // Under the set's all-shard MultiReaderLock; see SeqOfShard.
@@ -464,91 +447,6 @@ Status ReplicaService::BuildOverlaySnapshot() {
         shard.mutex.AssertReaderHeld();
         return shard.applied_seq;
       });
-}
-
-Status ReplicaService::OverlayRebuildStatus() const {
-  const MutexLock lock(&rebuild_mutex_);
-  return rebuild_status_;
-}
-
-void ReplicaService::StartRebuildThread() {
-  rebuild_thread_ = std::thread([this] {
-    for (;;) {
-      {
-        const MutexLock lock(&rebuild_mutex_);
-        if (rebuild_stopping_) return;
-      }
-      // The build runs with rebuild_mutex_ RELEASED: it takes
-      // build_mutex_ and every shard lock, both of which rank above it.
-      const Status built = BuildOverlaySnapshot();
-      {
-        MutexLock lock(&rebuild_mutex_);
-        if (!built.ok()) {
-          // Keep serving the previous snapshot; record the failure for
-          // monitoring and keep trying (unlike a poisoned WAL tail, a
-          // rebuild failure is not necessarily permanent).
-          rebuild_status_ = built;
-          SIOT_LOG_WARN("overlay snapshot rebuild failed: %s",
-                        built.ToString().c_str());
-        } else {
-          rebuild_status_ = Status::OK();
-        }
-        const auto deadline = std::chrono::steady_clock::now() +
-                              options_.snapshot_rebuild_period;
-        while (!rebuild_stopping_) {
-          if (!rebuild_cv_.WaitUntil(rebuild_mutex_, deadline)) break;
-        }
-        if (rebuild_stopping_) return;
-      }
-    }
-  });
-}
-
-void ReplicaService::StopRebuildThread() {
-  {
-    const MutexLock lock(&rebuild_mutex_);
-    rebuild_stopping_ = true;
-  }
-  rebuild_cv_.NotifyAll();
-  if (rebuild_thread_.joinable()) rebuild_thread_.join();
-}
-
-void ReplicaService::StartPollThread() {
-  poll_thread_ = std::thread([this] {
-    for (;;) {
-      {
-        // Deadline sleep, interruptible by StopPollThread; the predicate
-        // is hand-rolled so the analysis sees the guarded `stopping_`
-        // reads under the lock.
-        MutexLock lock(&poll_mutex_);
-        const auto deadline =
-            std::chrono::steady_clock::now() + options_.poll_period;
-        while (!stopping_) {
-          if (!poll_cv_.WaitUntil(poll_mutex_, deadline)) break;
-        }
-        if (stopping_) return;
-      }
-      // PollAll runs with poll_mutex_ RELEASED: it takes shard locks,
-      // which rank above it.
-      const auto polled = PollAll();
-      if (!polled.ok()) {
-        // PollAll already made the status sticky; a poisoned tail will
-        // never heal, so stop burning cycles. Reads keep serving.
-        SIOT_LOG_WARN("replica tailing stopped: %s",
-                      polled.status().ToString().c_str());
-        return;
-      }
-    }
-  });
-}
-
-void ReplicaService::StopPollThread() {
-  {
-    const MutexLock lock(&poll_mutex_);
-    stopping_ = true;
-  }
-  poll_cv_.NotifyAll();
-  if (poll_thread_.joinable()) poll_thread_.join();
 }
 
 // --------------------------------------------- rejected mutation surface --
@@ -601,17 +499,14 @@ StatusOr<std::unique_ptr<TrustService>> ReplicaService::Promote(
   // promote test asserts the two are byte-identical, which is the
   // end-to-end proof that tailing replicates faithfully.
   //
-  // The background tailer (if any) keeps running until Open succeeds: a
-  // failed promote must leave a fully live replica (still tailing, no
-  // sticky state), and concurrent tailing during recovery is safe — it
-  // only reads files, and recovery's tail-truncation never cuts below
-  // the follower's frame-aligned offset.
+  // A failed promote leaves a fully live replica (no sticky state), and
+  // an owner polling concurrently with recovery is safe — a poll only
+  // reads files, and recovery's tail-truncation never cuts below the
+  // follower's frame-aligned offset.
   SIOT_ASSIGN_OR_RETURN(std::unique_ptr<TrustService> promoted,
                         TrustService::Open(config_, options,
                                            std::move(fence)));
   promoted_.store(true, std::memory_order_release);
-  StopPollThread();
-  StopRebuildThread();
   return promoted;
 }
 

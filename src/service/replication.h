@@ -50,8 +50,13 @@
 // once EVERY shard of this follower has applied its registration: the
 // task bound is republished after every poll, failed polls included.
 //
-// Thread safety: all public methods are safe to call concurrently; the
-// tailer applies frames under a shard's exclusive lock, reads take it
+// Loops: the follower starts no threads. Its owner drives tailing
+// (PollAll, or AwaitPositions, which polls until a target is reached)
+// and overlay rebuilds (BuildOverlaySnapshot) at whatever cadence it
+// needs.
+//
+// Thread safety: all public methods are safe to call concurrently; a
+// poll applies frames under a shard's exclusive lock, reads take it
 // shared.
 
 #ifndef SIOT_SERVICE_REPLICATION_H_
@@ -63,7 +68,6 @@
 #include <memory>
 #include <span>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "common/mutex.h"
@@ -83,9 +87,6 @@ struct ReplicaOptions {
   /// The leader's persistence directory (or a copy of one). Must already
   /// hold a manifest — a replica never initializes a directory.
   std::string directory;
-  /// Background tailing period (0 = no thread; the owner drives polls
-  /// via PollAll / AwaitPositions).
-  std::chrono::milliseconds poll_period{0};
   /// Apply at most this many frames per shard per PollAll call
   /// (0 = unlimited). Exists for the crash-during-catch-up tests, which
   /// need to stop a follower at precise mid-catch-up points.
@@ -99,10 +100,6 @@ struct ReplicaOptions {
   std::shared_ptr<const graph::Graph> overlay_graph;
   /// Search parameters for the served transitivity queries.
   trust::TransitivityParams transitivity;
-  /// Background snapshot rebuild period (0 = no thread; the owner
-  /// drives rebuilds via BuildOverlaySnapshot). The first build runs as
-  /// soon as the thread starts.
-  std::chrono::milliseconds snapshot_rebuild_period{0};
 };
 
 /// One shard's replication position, relative to what is on disk now.
@@ -131,10 +128,9 @@ class ReplicaService {
   /// Opens a follower over `options.directory`. The directory must have
   /// been initialized by a leader under the SAME `config` (verified
   /// against the manifest; a follower replaying under a different engine
-  /// config would silently diverge). Restores checkpoints, performs one
-  /// initial catch-up poll, and starts the background tailing thread
-  /// when `poll_period` is set. The leader may be live or dead; a
-  /// follower never takes the directory LOCK.
+  /// config would silently diverge). Restores checkpoints and performs
+  /// one initial catch-up poll; later polls are the owner's. The leader
+  /// may be live or dead; a follower never takes the directory LOCK.
   static StatusOr<std::unique_ptr<ReplicaService>> Open(
       const TrustServiceConfig& config, const ReplicaOptions& options);
 
@@ -151,14 +147,14 @@ class ReplicaService {
   /// stickies) Status Corruption.
   StatusOr<std::size_t> PollAll();
 
-  /// Blocks until this follower's applied sequence reaches `targets`
-  /// (from the leader's WalPositions barrier) on every listed shard, or
-  /// `timeout` elapses (Unavailable). Drives polls itself when no
-  /// background thread is running.
+  /// Polls (PollAll) until this follower's applied sequence reaches
+  /// `targets` (from the leader's WalPositions barrier) on every listed
+  /// shard, or `timeout` elapses (Unavailable). A failed poll returns its
+  /// status at once.
   Status AwaitPositions(std::span<const ShardWalPosition> targets,
                         std::chrono::milliseconds timeout);
 
-  /// First corruption the tailer hit, if any (sticky; OK otherwise).
+  /// First corruption a poll hit, if any (sticky; OK otherwise).
   /// A poisoned follower keeps serving its last consistent state.
   Status TailStatus() const;
 
@@ -203,9 +199,10 @@ class ReplicaService {
   // reports the same alongside ReplicationLag() for monitoring.
 
   /// ShardedEngineSet::RebuildOverlaySnapshot, stamped with the
-  /// per-shard applied_seq vector — a cut the tailer (which applies under
+  /// per-shard applied_seq vector — a cut a poll (which applies under
   /// per-shard exclusive locks) can never split. FailedPrecondition
-  /// without ReplicaOptions::overlay_graph or after Promote().
+  /// without ReplicaOptions::overlay_graph or after Promote(). A failed
+  /// rebuild keeps serving the previous snapshot.
   Status BuildOverlaySnapshot();
 
   StatusOr<TransitiveTrustResult> TransitiveTrust(
@@ -223,11 +220,6 @@ class ReplicaService {
   CurrentOverlaySnapshot() const {
     return engines_.CurrentOverlaySnapshot();
   }
-
-  /// Last error of the background rebuild thread, if any (OK otherwise
-  /// or when rebuilds are owner-driven). A failed rebuild keeps serving
-  /// the previous snapshot.
-  Status OverlayRebuildStatus() const;
 
   TrustServiceStats Stats() const { return engines_.Stats(); }
   std::size_t shard_count() const { return engines_.shard_count(); }
@@ -321,32 +313,15 @@ class ReplicaService {
   /// FailedPrecondition once Promote succeeded.
   Status CheckServing() const;
 
-  void StartPollThread();
-  void StopPollThread();
-  void StartRebuildThread();
-  void StopRebuildThread();
-
   TrustServiceConfig config_;
   ReplicaOptions options_;
   /// The shard tier: engines, routing, validation and the read surface.
   ShardedEngineSet engines_;
-  /// Serializes snapshot assemblies (owner-driven vs background thread).
-  /// Lock rank 1 of 3: build_mutex_ → shard.mutex (ascending index) →
-  /// poll_mutex_. The shard tier is per-instance/dynamic, so only this
-  /// relation among the named members is expressible to the analysis.
-  Mutex build_mutex_ SIOT_ACQUIRED_BEFORE(rebuild_mutex_, poll_mutex_);
-  std::thread rebuild_thread_;
-  mutable Mutex rebuild_mutex_;
-  CondVar rebuild_cv_;
-  bool rebuild_stopping_ SIOT_GUARDED_BY(rebuild_mutex_) = false;
-  Status rebuild_status_ SIOT_GUARDED_BY(rebuild_mutex_);
-  std::thread poll_thread_;
-  /// Lock rank 3 of 3 (leaf): PollAll records a shard's poll failure
-  /// here while still holding that shard's lock; never the reverse.
+  /// Leaf lock, ranked after shard.mutex: PollAll records a shard's poll
+  /// failure here while still holding that shard's lock; never the
+  /// reverse.
   mutable Mutex poll_mutex_;
-  CondVar poll_cv_;
-  bool stopping_ SIOT_GUARDED_BY(poll_mutex_) = false;
-  /// Sticky first tailer corruption.
+  /// Sticky first poll corruption.
   Status tail_status_ SIOT_GUARDED_BY(poll_mutex_);
   std::atomic<bool> promoted_{false};
 };

@@ -184,6 +184,9 @@ Status ShardedEngineSet::RebuildOverlaySnapshot(SeqOfShard seq_of) {
         "transitive serving not enabled (EnableTransitiveServing on a "
         "leader, ReplicaOptions::overlay_graph on a follower)");
   }
+  // Held through Publish: the cut below is newer than every published
+  // one, and it must reach readers before any later cut does.
+  const MutexLock build_lock(&build_mutex_);
   const auto assembly_start = std::chrono::steady_clock::now();
   std::shared_ptr<const trust::VersionedOverlaySnapshot> built;
   {
@@ -220,7 +223,7 @@ Status ShardedEngineSet::RebuildOverlaySnapshot(SeqOfShard seq_of) {
         });
     built = std::make_shared<trust::VersionedOverlaySnapshot>(
         graph, shard0.catalog(), source, std::move(version));
-  }  // Locks drop here; hop-cache preparation below runs lock-free.
+  }  // Shard locks drop here; hop-cache preparation runs without them.
   const auto assembly_cost =
       std::chrono::duration_cast<std::chrono::milliseconds>(
           std::chrono::steady_clock::now() - assembly_start);

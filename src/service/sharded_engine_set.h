@@ -230,7 +230,9 @@ class ShardedEngineSet {
   /// Assembles an overlay snapshot from all shard stores under ONE
   /// simultaneous all-shard shared-lock hold (a consistent cut, stamped
   /// with `seq_of` per shard), then prepares and publishes it with the
-  /// locks released. Readers of the previous snapshot never block.
+  /// shard locks released. Readers of the previous snapshot never block.
+  /// Rebuilds are serialized from cut to publish, so a slower rebuild of
+  /// an older cut can never replace a newer snapshot.
   Status RebuildOverlaySnapshot(SeqOfShard seq_of);
 
   /// Transitive trust query against the published snapshot; the answer
@@ -283,6 +285,10 @@ class ShardedEngineSet {
       std::atomic<std::uint64_t>& counter) const;
 
   std::vector<std::unique_ptr<Shard>> shards_;
+  /// Serializes RebuildOverlaySnapshot from the cut through Publish.
+  /// Lock rank: build_mutex_ → shard.mutex (ascending index) →
+  /// OverlaySnapshotIndex's mutex. Queries never take it.
+  Mutex build_mutex_;
   /// Snapshot-backed transitive read path.
   OverlaySnapshotIndex overlay_;
   /// Tasks [0, bound) are registered on every shard (PublishTaskBound).

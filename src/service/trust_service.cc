@@ -18,8 +18,6 @@ TrustService::TrustService(TrustServiceConfig config)
     : engines_(std::type_identity<LeaderShard>{}, config.shard_count,
                config.engine) {}
 
-TrustService::~TrustService() { StopCheckpointThread(); }
-
 // ----------------------------------------------------------- durability --
 
 /// The manifest pins everything recovery correctness depends on: the
@@ -121,9 +119,6 @@ StatusOr<std::unique_ptr<TrustService>> TrustService::Open(
   }
   SIOT_RETURN_IF_ERROR(service->ReconcileAdminState());
   service->engines_.PublishTaskBound();
-  if (options.checkpoint_period.count() > 0) {
-    service->StartCheckpointThread();
-  }
   return service;
 }
 
@@ -233,48 +228,6 @@ Status TrustService::background_status() const {
   return background_status_;
 }
 
-void TrustService::StartCheckpointThread() {
-  checkpoint_thread_ = std::thread([this] {
-    for (;;) {
-      {
-        // Deadline sleep, interruptible by StopCheckpointThread. The
-        // predicate is hand-rolled (not a wait_for lambda) so the
-        // analysis sees the guarded `stopping_` reads under the lock.
-        MutexLock lock(&background_mutex_);
-        const auto deadline =
-            std::chrono::steady_clock::now() + persistence_.checkpoint_period;
-        while (!stopping_) {
-          if (!background_cv_.WaitUntil(background_mutex_, deadline)) break;
-        }
-        if (stopping_) return;
-      }
-      // Checkpoint pass runs with background_mutex_ RELEASED — each
-      // shard lock is rank 2, background_mutex_ rank 3.
-      for (std::size_t s = 0; s < shard_count(); ++s) {
-        LeaderShard& shard = ShardAt(s);
-        const WriterLock shard_lock(&shard.mutex);
-        if (shard.persist->appends_since_checkpoint() == 0) continue;
-        const Status status = CheckpointShardLocked(shard);
-        if (!status.ok()) {
-          SIOT_LOG_WARN("periodic checkpoint failed: %s",
-                        status.ToString().c_str());
-          const MutexLock lock(&background_mutex_);
-          if (background_status_.ok()) background_status_ = status;
-        }
-      }
-    }
-  });
-}
-
-void TrustService::StopCheckpointThread() {
-  {
-    const MutexLock lock(&background_mutex_);
-    stopping_ = true;
-  }
-  background_cv_.NotifyAll();
-  if (checkpoint_thread_.joinable()) checkpoint_thread_.join();
-}
-
 // ------------------------------------------------------------- control --
 
 StatusOr<trust::TaskId> TrustService::RegisterTask(
@@ -285,7 +238,8 @@ StatusOr<trust::TaskId> TrustService::RegisterTask(
   // Validate up front so a rejected registration (duplicate name, bad
   // characteristics) leaves every catalog unchanged, the replicas stay
   // identical, and — in durable mode — nothing reaches a WAL. Once
-  // validation passes, every per-shard AddUniform must succeed.
+  // validation passes, every per-shard apply must succeed.
+  trust::TaskId id = trust::kNoTask;
   {
     LeaderShard& shard0 = ShardAt(0);
     const ReaderLock lock(&shard0.mutex);
@@ -293,12 +247,26 @@ StatusOr<trust::TaskId> TrustService::RegisterTask(
       return Status::AlreadyExists("task name '" + name +
                                    "' already used");
     }
+    // Registration order is the id order: every shard must place the
+    // task at this id (admin_mutex_ keeps every catalog still until then).
+    id = static_cast<trust::TaskId>(shard0.engine->catalog().size());
   }
   {
     const auto probe = trust::Task::CreateUniform(0, name, characteristics);
     if (!probe.ok()) return probe.status();
   }
-  trust::TaskId id = trust::kNoTask;
+  SIOT_RETURN_IF_ERROR(ReplicateAdminOp(
+      EncodeTaskOpBinary(name, characteristics),
+      [id](const trust::TrustEngine& engine) {
+        SIOT_CHECK(engine.catalog().size() == std::size_t{id} + 1);
+      }));
+  engines_.PublishTaskBound();
+  return id;
+}
+
+Status TrustService::ReplicateAdminOp(
+    const std::string& payload,
+    const std::function<void(const trust::TrustEngine&)>& after_apply) {
   std::vector<std::size_t> logged_shards;
   for (std::size_t s = 0; s < shard_count(); ++s) {
     LeaderShard& shard = ShardAt(s);
@@ -306,24 +274,15 @@ StatusOr<trust::TaskId> TrustService::RegisterTask(
     if (shard.persist) {
       // Deferred sync: all shard_count appends flush in ONE group-commit
       // round below instead of one fsync per shard.
-      SIOT_RETURN_IF_ERROR(
-          LogOrDegrade(shard.persist.get(),
-                       {EncodeTaskOpBinary(name, characteristics)},
-                       /*defer_sync=*/true));
+      SIOT_RETURN_IF_ERROR(LogOrDegrade(shard.persist.get(), {payload},
+                                        /*defer_sync=*/true));
       logged_shards.push_back(s);
     }
-    const auto replica =
-        shard.engine->catalog().AddUniform(name, characteristics);
-    SIOT_CHECK(replica.ok());
-    if (s == 0) {
-      id = replica.value();
-    } else {
-      SIOT_CHECK(replica.value() == id);
-    }
+    const Status applied = ApplyWalOp(payload, shard.engine.get());
+    SIOT_CHECK(applied.ok());
+    if (after_apply) after_apply(*shard.engine);
   }
-  SIOT_RETURN_IF_ERROR(GroupSyncShards(logged_shards));
-  engines_.PublishTaskBound();
-  return id;
+  return GroupSyncShards(logged_shards);
 }
 
 Status TrustService::CheckNotDegraded() const {
@@ -425,20 +384,7 @@ Status TrustService::SetReverseThreshold(trust::AgentId trustee,
   }
   SIOT_RETURN_IF_ERROR(CheckNotDegraded());
   const MutexLock admin(&admin_mutex_);
-  std::vector<std::size_t> logged_shards;
-  for (std::size_t s = 0; s < shard_count(); ++s) {
-    LeaderShard& shard = ShardAt(s);
-    const WriterLock lock(&shard.mutex);
-    if (shard.persist) {
-      SIOT_RETURN_IF_ERROR(
-          LogOrDegrade(shard.persist.get(),
-                       {EncodeThetaOpBinary(trustee, task, theta)},
-                       /*defer_sync=*/true));
-      logged_shards.push_back(s);
-    }
-    shard.engine->reverse_evaluator().SetThreshold(trustee, task, theta);
-  }
-  return GroupSyncShards(logged_shards);
+  return ReplicateAdminOp(EncodeThetaOpBinary(trustee, task, theta));
 }
 
 Status TrustService::SetEnvironmentIndicator(trust::AgentId agent,
@@ -451,20 +397,7 @@ Status TrustService::SetEnvironmentIndicator(trust::AgentId agent,
   }
   SIOT_RETURN_IF_ERROR(CheckNotDegraded());
   const MutexLock admin(&admin_mutex_);
-  std::vector<std::size_t> logged_shards;
-  for (std::size_t s = 0; s < shard_count(); ++s) {
-    LeaderShard& shard = ShardAt(s);
-    const WriterLock lock(&shard.mutex);
-    if (shard.persist) {
-      SIOT_RETURN_IF_ERROR(
-          LogOrDegrade(shard.persist.get(),
-                       {EncodeEnvOpBinary(agent, indicator)},
-                       /*defer_sync=*/true));
-      logged_shards.push_back(s);
-    }
-    shard.engine->environment().SetIndicator(agent, indicator);
-  }
-  return GroupSyncShards(logged_shards);
+  return ReplicateAdminOp(EncodeEnvOpBinary(agent, indicator));
 }
 
 // ---------------------------------------------------------- data plane --

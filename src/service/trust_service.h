@@ -12,6 +12,9 @@
 //     to every shard under a global admin mutex — rare writes;
 //   * durability (Open): a per-shard WAL written before every apply,
 //     cross-shard group commit, and checkpoints.
+// The service starts no threads: checkpoints run inline (Checkpoint(),
+// or checkpoint_every_appends on the write path) and overlay rebuilds run
+// when the caller asks (RebuildOverlaySnapshot).
 // Because shards share no data-plane state, a multi-threaded run over any
 // partition of the trustors is equivalent to a single-threaded run of the
 // same per-trustor operation sequences — the service and bench tests
@@ -22,10 +25,10 @@
 
 #include <atomic>
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <span>
 #include <string>
-#include <thread>
 #include <utility>
 #include <vector>
 
@@ -78,12 +81,11 @@ struct ShardWalPosition {
 class TrustService {
  public:
   explicit TrustService(TrustServiceConfig config = {});
-  ~TrustService();
 
   // ------------------------------------------------------- durability --
 
   /// Opens a DURABLE service over `options.directory`: every mutation is
-  /// written to a per-shard CRC-framed WAL before it is applied, periodic
+  /// written to a per-shard CRC-framed WAL before it is applied,
   /// checkpoints bound recovery time, and this call replays
   /// checkpoint + WAL tail so the returned service resumes byte-identical
   /// to the state at the last acknowledged write of the previous
@@ -124,9 +126,9 @@ class TrustService {
   /// True when this service was created by Open (durable mode).
   bool persistent() const { return ShardAt(0).persist != nullptr; }
 
-  /// First error a background/periodic checkpoint hit, if any (writes
-  /// are still durable in the WAL when a checkpoint fails; this surfaces
-  /// the degradation for monitoring).
+  /// First error an automatic (checkpoint_every_appends) checkpoint hit,
+  /// if any (writes are still durable in the WAL when a checkpoint fails;
+  /// this surfaces the degradation for monitoring).
   Status background_status() const;
 
   /// True once a WAL append failed. A failed append can leave an admin
@@ -209,6 +211,8 @@ class TrustService {
 
   /// ShardedEngineSet::RebuildOverlaySnapshot, stamped with the
   /// per-shard durable last_seq vector (all zeros without persistence).
+  /// Concurrent calls are serialized, so the served version never goes
+  /// backwards.
   Status RebuildOverlaySnapshot();
 
   StatusOr<TransitiveTrustResult> TransitiveTrust(
@@ -288,8 +292,17 @@ class TrustService {
   void MaybeAutoCheckpointLocked(LeaderShard& shard)
       SIOT_REQUIRES(shard.mutex);
 
-  void StartCheckpointThread();
-  void StopCheckpointThread();
+  /// The one admin write path: logs `payload` (an Encode*OpBinary admin
+  /// op) to every shard's WAL in durable mode, flushed in one group-commit
+  /// round, and applies it to every shard, shard 0 first, through
+  /// ApplyWalOp — the apply that replay, ReconcileAdminState and the
+  /// follower use. The caller has validated the op, so the apply cannot
+  /// fail. `after_apply`, when set, runs on each shard's engine right
+  /// after the apply, under that shard's lock.
+  Status ReplicateAdminOp(
+      const std::string& payload,
+      const std::function<void(const trust::TrustEngine&)>& after_apply =
+          {}) SIOT_REQUIRES(admin_mutex_);
 
   /// The shard tier: engines, routing, validation and the read surface.
   ShardedEngineSet engines_;
@@ -308,12 +321,9 @@ class TrustService {
   /// Held for the service's lifetime in durable mode (one live service
   /// per directory).
   DirectoryLock directory_lock_;
-  std::thread checkpoint_thread_;
   /// Lock rank 3 of 3 (leaf): taken under a held shard lock by
   /// MaybeAutoCheckpointLocked; never the other way around.
   mutable Mutex background_mutex_;
-  CondVar background_cv_;
-  bool stopping_ SIOT_GUARDED_BY(background_mutex_) = false;
   Status background_status_ SIOT_GUARDED_BY(background_mutex_);
   std::atomic<bool> degraded_{false};
   std::atomic<std::uint64_t> outcome_reports_{0};

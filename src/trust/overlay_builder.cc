@@ -6,7 +6,6 @@
 
 #include "common/macros.h"
 #include "common/string_util.h"
-#include "trust/inference.h"
 #include "trust/trust_store_io.h"
 
 namespace siot::trust {
@@ -25,28 +24,23 @@ std::string FormatSnapshotVersion(const SnapshotVersion& version) {
 ShardedStoreOverlay::ShardedStoreOverlay(std::vector<const TrustStore*> stores,
                                          const Normalizer& normalizer,
                                          ShardRouter shard_of)
-    : stores_(std::move(stores)),
-      normalizer_(normalizer),
-      shard_of_(std::move(shard_of)) {
-  SIOT_CHECK(!stores_.empty());
+    : shard_of_(std::move(shard_of)) {
+  SIOT_CHECK(!stores.empty());
   SIOT_CHECK(static_cast<bool>(shard_of_));
-  for (const TrustStore* store : stores_) SIOT_CHECK(store != nullptr);
+  shards_.reserve(stores.size());
+  for (const TrustStore* store : stores) {
+    SIOT_CHECK(store != nullptr);
+    shards_.emplace_back(*store, normalizer);
+  }
 }
 
 std::vector<TaskExperience> ShardedStoreOverlay::DirectExperience(
     AgentId observer, AgentId subject) const {
   const std::size_t shard = shard_of_(observer);
-  SIOT_CHECK_MSG(shard < stores_.size(),
+  SIOT_CHECK_MSG(shard < shards_.size(),
                  "router sent agent %u to shard %zu of %zu",
-                 static_cast<unsigned>(observer), shard, stores_.size());
-  std::vector<TaskExperience> out;
-  const auto records = stores_[shard]->PairRecords(observer, subject);
-  out.reserve(records.size());
-  for (const PairTaskRecord& entry : records) {
-    out.push_back({entry.task, TrustworthinessFromEstimates(
-                                   entry.record.estimates, normalizer_)});
-  }
-  return out;
+                 static_cast<unsigned>(observer), shard, shards_.size());
+  return shards_[shard].DirectExperience(observer, subject);
 }
 
 namespace {

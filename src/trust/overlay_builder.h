@@ -73,8 +73,9 @@ class ShardedStoreOverlay : public TrustOverlay {
       AgentId observer, AgentId subject) const override;
 
  private:
-  std::vector<const TrustStore*> stores_;
-  Normalizer normalizer_;
+  /// One single-store view per shard; shard i's answers are exactly
+  /// StoreTrustOverlay's over stores[i].
+  std::vector<StoreTrustOverlay> shards_;
   ShardRouter shard_of_;
 };
 

@@ -4,8 +4,6 @@
 
 #include <cmath>
 #include <cstdint>
-#include <fstream>
-#include <sstream>
 #include <unordered_set>
 #include <vector>
 
@@ -217,22 +215,6 @@ Status DeserializeTrustStore(std::string_view text, TrustStore* store) {
         }
         return ParseRecordLine(ctx, fields, &seen, store);
       });
-}
-
-Status SaveTrustStore(const TrustStore& store, const std::string& path) {
-  std::ofstream file(path);
-  if (!file) return Status::IoError("cannot open for write: " + path);
-  file << SerializeTrustStore(store);
-  if (!file) return Status::IoError("write failed: " + path);
-  return Status::OK();
-}
-
-Status LoadTrustStore(const std::string& path, TrustStore* store) {
-  std::ifstream file(path);
-  if (!file) return Status::IoError("cannot open trust store: " + path);
-  std::ostringstream buffer;
-  buffer << file.rdbuf();
-  return DeserializeTrustStore(buffer.str(), store);
 }
 
 // ------------------------------------------------- engine-state format --

@@ -60,12 +60,6 @@ std::string SerializeTrustStore(const TrustStore& store);
 /// key, so a duplicate means a truncated or concatenated file.
 Status DeserializeTrustStore(std::string_view text, TrustStore* store);
 
-/// Writes the store to a file.
-Status SaveTrustStore(const TrustStore& store, const std::string& path);
-
-/// Reads a file written by SaveTrustStore.
-Status LoadTrustStore(const std::string& path, TrustStore* store);
-
 /// Percent-escapes a name token (space, '%', '#', control bytes) so it
 /// occupies exactly one space-separated field in a serialized line.
 std::string EscapeNameToken(std::string_view raw);

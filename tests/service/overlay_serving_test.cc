@@ -15,14 +15,16 @@
 //     byte-identically to a snapshot built from a single-threaded
 //     reference engine fed the same ops (the sharded, replicated,
 //     concurrently-tailed pipeline must change nothing);
-//   * RACE (the TSan suite): 4 leader writer threads, a background WAL
-//     tailer, a background snapshot rebuilder, and query threads all run
+//   * RACE (the TSan suite): 4 leader writer threads, a WAL tailer
+//     thread, a snapshot rebuilder thread, and query threads all run
 //     against each other; served version vectors must stay per-shard
 //     monotone (a consistent cut can never go backwards), and the final
 //     quiesced snapshot must still be byte-identical to the reference.
 //     A rebuild that read per-shard applied_seq at different times
 //     instead of under one simultaneous all-shard lock hold fails this
-//     suite under TSan and the monotonicity check.
+//     suite under TSan and the monotonicity check. The same holds for
+//     two rebuilder threads racing on a leader: rebuilds are serialized
+//     from cut to publish, so an older cut never replaces a newer one.
 
 #include "service/overlay_serving.h"
 
@@ -367,6 +369,38 @@ TEST(OverlayEquivalencePropertyTest, FollowerSnapshotMatchesReference) {
 
 // ----------------------------------------------------------- race suite --
 
+/// Starts a query thread that hammers `service`'s served transitive path
+/// until `done`, and clears `monotone` if a served version vector has the
+/// wrong width or goes backwards on any shard.
+template <typename Service>
+std::thread StartMonotoneReader(const Service& service, AgentId trustor,
+                                std::size_t shards,
+                                const std::atomic<bool>& done,
+                                std::atomic<bool>& monotone) {
+  return std::thread([&service, trustor, shards, &done, &monotone] {
+    std::vector<std::uint64_t> last(shards, 0);
+    TransitiveTrustRequest request;
+    request.trustor = trustor;
+    request.task = 0;
+    while (!done.load(std::memory_order_acquire)) {
+      const auto answer = service.TransitiveTrust(request);
+      if (!answer.ok()) continue;  // no snapshot yet
+      const auto& seq = answer.value().version.applied_seq;
+      if (seq.size() != shards) {
+        monotone.store(false, std::memory_order_release);
+        return;
+      }
+      for (std::size_t s = 0; s < shards; ++s) {
+        if (seq[s] < last[s]) {
+          monotone.store(false, std::memory_order_release);
+        }
+        last[s] = seq[s];
+      }
+      std::this_thread::yield();
+    }
+  });
+}
+
 // Satellite bug under test: a rebuild that reads each shard's
 // applied_seq at a different time can stamp a version vector no single
 // moment was in (the tailer applies admin ops shard 0 first, data ops
@@ -392,10 +426,8 @@ TEST(OverlayRaceTest, WritersTailerRebuilderAndQueriesRace) {
   const auto graph = RingGraph(kAgents);
   ReplicaOptions replica_options;
   replica_options.directory = dir;
-  replica_options.poll_period = std::chrono::milliseconds(1);
   replica_options.overlay_graph = graph;
   replica_options.transitivity = Params();
-  replica_options.snapshot_rebuild_period = std::chrono::milliseconds(2);
   auto replica = ReplicaService::Open(config, replica_options).value();
 
   // Writer w owns trustors with t % kWriters == w: per-trustor op order
@@ -413,6 +445,7 @@ TEST(OverlayRaceTest, WritersTailerRebuilderAndQueriesRace) {
     }
   }
 
+  std::atomic<bool> writers_done{false};
   std::atomic<bool> done{false};
   std::vector<std::thread> writers;
   for (std::size_t w = 0; w < kWriters; ++w) {
@@ -423,40 +456,41 @@ TEST(OverlayRaceTest, WritersTailerRebuilderAndQueriesRace) {
     });
   }
 
+  // The follower's owner loops: one thread tails, another rebuilds, both
+  // until the writers finish — polls apply under per-shard exclusive
+  // locks while the rebuild holds every shard lock shared.
+  std::thread tailer([&] {
+    while (!writers_done.load(std::memory_order_acquire)) {
+      const auto polled = replica->PollAll();
+      ASSERT_TRUE(polled.ok()) << polled.status().ToString();
+      std::this_thread::yield();
+    }
+  });
+  std::thread rebuilder([&] {
+    while (!writers_done.load(std::memory_order_acquire)) {
+      ASSERT_TRUE(replica->BuildOverlaySnapshot().ok());
+      std::this_thread::yield();
+    }
+  });
+
   // Query threads: hammer the served path while snapshots swap under
   // them; served version vectors must be per-shard monotone.
   std::vector<std::thread> readers;
   std::atomic<bool> monotone{true};
-  for (std::size_t r = 0; r < 2; ++r) {
-    readers.emplace_back([&, r] {
-      std::vector<std::uint64_t> last(kShards, 0);
-      TransitiveTrustRequest request;
-      request.trustor = static_cast<AgentId>(r);
-      request.task = 0;
-      while (!done.load(std::memory_order_acquire)) {
-        const auto answer = replica->TransitiveTrust(request);
-        if (!answer.ok()) continue;  // no snapshot yet
-        const auto& seq = answer.value().version.applied_seq;
-        if (seq.size() != kShards) {
-          monotone.store(false, std::memory_order_release);
-          break;
-        }
-        for (std::size_t s = 0; s < kShards; ++s) {
-          if (seq[s] < last[s]) {
-            monotone.store(false, std::memory_order_release);
-          }
-          last[s] = seq[s];
-        }
-        std::this_thread::yield();
-      }
-    });
+  for (AgentId r = 0; r < 2; ++r) {
+    readers.push_back(
+        StartMonotoneReader(*replica, r, kShards, done, monotone));
   }
 
   for (std::thread& writer : writers) writer.join();
+  writers_done.store(true, std::memory_order_release);
+  tailer.join();
+  rebuilder.join();
   const std::vector<ShardWalPosition> positions = leader->WalPositions();
-  ASSERT_TRUE(replica->AwaitPositions(positions, kAwaitTimeout).ok());
+  const Status caught_up = replica->AwaitPositions(positions, kAwaitTimeout);
   done.store(true, std::memory_order_release);
   for (std::thread& reader : readers) reader.join();
+  ASSERT_TRUE(caught_up.ok()) << caught_up.ToString();
   EXPECT_TRUE(monotone.load()) << "a served version vector regressed — "
                                   "the rebuild cut is not consistent";
 
@@ -480,6 +514,78 @@ TEST(OverlayRaceTest, WritersTailerRebuilderAndQueriesRace) {
             trust::SerializeOverlaySnapshot(reference_snapshot));
 
   replica.reset();
+  leader.reset();
+  std::filesystem::remove_all(dir);
+}
+
+// Two rebuilder threads race each other and the writers on one leader.
+// A rebuild prepares its hop caches after the shard locks drop, so
+// without serialization from cut to publish a rebuild of an older cut
+// that prepares slower publishes after a newer one, and the served
+// version vector goes backwards.
+TEST(OverlayRaceTest, ConcurrentLeaderRebuildsNeverRegressVersion) {
+  constexpr AgentId kAgents = 256;
+  constexpr TaskId kTasks = 4;
+  constexpr std::size_t kShards = 4;
+  constexpr std::size_t kWriters = 2;
+  constexpr std::uint64_t kBatchesPerWriter = 16;
+
+  const std::string dir = MakeTestDir("leader_rebuild_race");
+  const TrustServiceConfig config = MakeConfig(kShards);
+  PersistenceOptions options;
+  options.directory = dir;
+  auto leader = TrustService::Open(config, options).value();
+  RegisterTasks(kTasks, leader.get(), nullptr);
+  ASSERT_TRUE(
+      leader->EnableTransitiveServing(RingGraph(kAgents), Params()).ok());
+
+  std::atomic<bool> writers_done{false};
+  std::atomic<bool> done{false};
+  std::atomic<bool> monotone{true};
+  std::vector<std::thread> writers;
+  for (std::size_t w = 0; w < kWriters; ++w) {
+    writers.emplace_back([&, w] {
+      for (std::uint64_t round = 0; round < kBatchesPerWriter; ++round) {
+        std::vector<OutcomeReport> batch;
+        for (const OutcomeReport& report :
+             MakeBatch(kAgents, kTasks, round * 5 + w)) {
+          if (report.trustor % kWriters == w) batch.push_back(report);
+        }
+        ASSERT_TRUE(leader->BatchReportOutcome(batch).ok());
+      }
+    });
+  }
+  std::vector<std::thread> rebuilders;
+  for (int b = 0; b < 2; ++b) {
+    rebuilders.emplace_back([&] {
+      while (!writers_done.load(std::memory_order_acquire)) {
+        ASSERT_TRUE(leader->RebuildOverlaySnapshot().ok());
+        std::this_thread::yield();
+      }
+    });
+  }
+  std::vector<std::thread> readers;
+  for (AgentId r = 0; r < 2; ++r) {
+    readers.push_back(
+        StartMonotoneReader(*leader, r, kShards, done, monotone));
+  }
+
+  for (std::thread& writer : writers) writer.join();
+  writers_done.store(true, std::memory_order_release);
+  for (std::thread& rebuilder : rebuilders) rebuilder.join();
+  // Quiesced: the last rebuild's version is exactly the WAL positions.
+  const Status final_rebuild = leader->RebuildOverlaySnapshot();
+  done.store(true, std::memory_order_release);
+  for (std::thread& reader : readers) reader.join();
+  ASSERT_TRUE(final_rebuild.ok());
+  EXPECT_TRUE(monotone.load()) << "a served version vector regressed — "
+                                  "an older cut published after a newer one";
+  trust::SnapshotVersion version;
+  for (const ShardWalPosition& position : leader->WalPositions()) {
+    version.applied_seq.push_back(position.last_seq);
+  }
+  EXPECT_TRUE(leader->OverlayInfo().version == version);
+
   leader.reset();
   std::filesystem::remove_all(dir);
 }

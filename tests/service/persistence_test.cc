@@ -996,8 +996,8 @@ TEST(PersistenceCorruptionTest, SemanticallyInvalidOpsAreCorruption) {
 }
 
 // =====================================================================
-// Concurrency: background checkpoints racing data-plane writers (the
-// TSan job runs this suite).
+// Concurrency: inline and explicit checkpoints racing data-plane
+// writers (the TSan job runs this suite).
 // =====================================================================
 
 TEST(PersistenceStressTest, ConcurrentCheckpointsAndWritersStayExact) {
@@ -1005,7 +1005,6 @@ TEST(PersistenceStressTest, ConcurrentCheckpointsAndWritersStayExact) {
   const std::string dir = MakeTestDir("stress");
   PersistenceOptions options;
   options.directory = dir;
-  options.checkpoint_period = std::chrono::milliseconds(2);
   options.checkpoint_every_appends = 64;
 
   constexpr AgentId kStressAgents = 128;

@@ -23,6 +23,7 @@
 
 #include "service/replication.h"
 
+#include <atomic>
 #include <chrono>
 #include <filesystem>
 #include <fstream>
@@ -164,12 +165,19 @@ TEST(ReplicationStressTest, EightThreadLeaderWritersReplicateExactly) {
   TaskId task = trust::kNoTask;
   auto leader = OpenLeader(config, dir, &task).value();
 
-  // Background tailer polls concurrently with the 8 writer threads —
+  // A test-owned tailer polls concurrently with the 8 writer threads —
   // the TSan surface for reader/tailer/file interplay.
   ReplicaOptions replica_options;
   replica_options.directory = dir;
-  replica_options.poll_period = std::chrono::milliseconds(1);
   auto replica = ReplicaService::Open(config, replica_options).value();
+  std::atomic<bool> writers_done{false};
+  std::thread tailer([&] {
+    while (!writers_done.load(std::memory_order_acquire)) {
+      const auto polled = replica->PollAll();
+      ASSERT_TRUE(polled.ok()) << polled.status().ToString();
+      std::this_thread::yield();
+    }
+  });
 
   constexpr int kWriters = 8;
   constexpr std::uint64_t kRounds = 20;
@@ -193,6 +201,8 @@ TEST(ReplicationStressTest, EightThreadLeaderWritersReplicateExactly) {
     });
   }
   for (std::thread& writer : writers) writer.join();
+  writers_done.store(true, std::memory_order_release);
+  tailer.join();
 
   const std::vector<ShardWalPosition> positions = leader->WalPositions();
   ASSERT_TRUE(replica->AwaitPositions(positions, kAwaitTimeout).ok());

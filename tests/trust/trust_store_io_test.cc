@@ -4,7 +4,7 @@
 
 #include <gtest/gtest.h>
 
-#include <cstdio>
+#include <string>
 
 #include "common/rng.h"
 
@@ -167,22 +167,6 @@ TEST(TrustStoreIoTest, LoadOverwritesMatchingKeys) {
                   .ok());
   EXPECT_DOUBLE_EQ(store.Find(1, 2, 3)->estimates.success_rate, 0.9);
   EXPECT_EQ(store.size(), 1u);
-}
-
-TEST(TrustStoreIoTest, FileRoundTrip) {
-  const TrustStore original = MakeStore(2, 25);
-  const std::string path = ::testing::TempDir() + "/siot_store_test.txt";
-  ASSERT_TRUE(SaveTrustStore(original, path).ok());
-  TrustStore loaded;
-  ASSERT_TRUE(LoadTrustStore(path, &loaded).ok());
-  EXPECT_EQ(SerializeTrustStore(loaded), SerializeTrustStore(original));
-  std::remove(path.c_str());
-}
-
-TEST(TrustStoreIoTest, MissingFileIsIoError) {
-  TrustStore store;
-  EXPECT_EQ(LoadTrustStore("/no/such/file", &store).code(),
-            StatusCode::kIoError);
 }
 
 }  // namespace
