@@ -38,8 +38,8 @@ void BM_PotentialTrusteeCount(benchmark::State& state) {
   trust::TransitivityParams params;
   params.omega1 = 0.0;
   params.omega2 = 0.0;
-  const trust::TransitivitySearch search(dataset.graph, world.catalog(),
-                                         world, params);
+  const bench::PreparedWorldSearch prepared(dataset.graph, world, params);
+  const trust::TransitivitySearch& search = prepared.search;
   Rng request_rng(6);
   for (auto _ : state) {
     const trust::TaskId request = world.SampleRequest(request_rng);

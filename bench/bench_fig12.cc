@@ -6,6 +6,7 @@
 #include <algorithm>
 
 #include "bench/bench_util.h"
+#include "bench/transitivity_sweep.h"
 #include "common/string_util.h"
 #include "common/table.h"
 #include "graph/datasets.h"
@@ -74,8 +75,8 @@ void BM_InquiredNodesSearch(benchmark::State& state) {
   trust::TransitivityParams params;
   params.omega1 = 0.0;
   params.omega2 = 0.0;
-  const trust::TransitivitySearch search(dataset.graph, world.catalog(),
-                                         world, params);
+  const bench::PreparedWorldSearch prepared(dataset.graph, world, params);
+  const trust::TransitivitySearch& search = prepared.search;
   Rng request_rng(4);
   for (auto _ : state) {
     const trust::TaskId request = world.SampleRequest(request_rng);

@@ -38,8 +38,8 @@ void BM_TransitivitySearch(benchmark::State& state) {
   trust::TransitivityParams params;
   params.omega1 = 0.0;
   params.omega2 = 0.0;
-  const trust::TransitivitySearch search(dataset.graph, world.catalog(),
-                                         world, params);
+  const bench::PreparedWorldSearch prepared(dataset.graph, world, params);
+  const trust::TransitivitySearch& search = prepared.search;
   const auto method =
       static_cast<trust::TransitivityMethod>(state.range(0));
   Rng request_rng(9);

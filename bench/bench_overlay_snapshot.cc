@@ -144,7 +144,6 @@ void BM_OverlayPrepare(benchmark::State& state) {
                                            snapshot->catalog(), Params());
     search.PrepareTasks(tasks);
     search.Seal();
-    benchmark::DoNotOptimize(search.sealed());
   }
   state.SetItemsProcessed(state.iterations() *
                           static_cast<std::int64_t>(tasks.size()));

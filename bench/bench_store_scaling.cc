@@ -1,13 +1,10 @@
 // Copyright 2026 The siot-trust Authors.
-// Store-scaling bench: quantifies the pair-major TrustStore + overlay
-// snapshot against the original flat-scan layout, on the largest bundled
-// dataset (Google+). The old layout kept every (trustor, trustee, task)
-// record in one hash map, so every DirectExperience lookup of the
-// transitivity search scanned the ENTIRE store — the §5.5 sweep was
-// O(E · hops · total-records) instead of O(E · hops · tasks-per-pair).
-// This binary measures the same query workload through three backends
-// (flat scan, pair-major store, edge-indexed snapshot), checks they return
-// identical results, and shows the parallel runner scaling the full
+// Store-scaling bench: the pair-major TrustStore and the overlay snapshot
+// on the largest bundled dataset (Google+). Every DirectExperience lookup
+// is one pair probe, the snapshot materializes those lookups once per
+// directed edge, and PrepareTasks turns them into per-task hop caches, so
+// a query is a pure read. This binary times each of those stages for the
+// §5.5 query workload, and shows the parallel runner scaling the full
 // experiment with bit-identical output.
 
 #include <chrono>
@@ -29,84 +26,14 @@ namespace siot {
 namespace {
 
 // ------------------------------------------------------------------------
-// Flat-scan baseline: the pre-pair-major store layout. One hash map over
-// full (trustor, trustee, task) keys; per-pair queries scan every record.
-// Kept verbatim here as the measured "before".
-// ------------------------------------------------------------------------
-
-class FlatTrustStore {
- public:
-  void Put(trust::AgentId trustor, trust::AgentId trustee,
-           trust::TaskId task, const trust::OutcomeEstimates& estimates) {
-    records_[trust::TrustKey{trustor, trustee, task}] =
-        trust::TrustRecord{estimates, 0};
-  }
-
-  std::optional<trust::TrustRecord> Find(trust::AgentId trustor,
-                                         trust::AgentId trustee,
-                                         trust::TaskId task) const {
-    const auto it = records_.find(trust::TrustKey{trustor, trustee, task});
-    if (it == records_.end()) return std::nullopt;
-    return it->second;
-  }
-
-  std::vector<trust::TaskId> ExperiencedTasks(
-      trust::AgentId trustor, trust::AgentId trustee) const {
-    std::vector<trust::TaskId> tasks;
-    for (const auto& [key, record] : records_) {
-      if (key.trustor == trustor && key.trustee == trustee) {
-        tasks.push_back(key.task);
-      }
-    }
-    std::sort(tasks.begin(), tasks.end());
-    return tasks;
-  }
-
-  std::size_t size() const { return records_.size(); }
-
- private:
-  std::unordered_map<trust::TrustKey, trust::TrustRecord,
-                     trust::TrustKeyHash>
-      records_;
-};
-
-/// The pre-pair-major StoreTrustOverlay: one full-store scan for the task
-/// list, then one hash probe per task.
-class FlatScanOverlay : public trust::TrustOverlay {
- public:
-  FlatScanOverlay(const FlatTrustStore& store,
-                  const trust::Normalizer& normalizer)
-      : store_(store), normalizer_(normalizer) {}
-
-  std::vector<trust::TaskExperience> DirectExperience(
-      trust::AgentId observer, trust::AgentId subject) const override {
-    std::vector<trust::TaskExperience> out;
-    for (trust::TaskId task : store_.ExperiencedTasks(observer, subject)) {
-      const auto record = store_.Find(observer, subject, task);
-      if (record.has_value()) {
-        out.push_back({task, trust::TrustworthinessFromEstimates(
-                                 record->estimates, normalizer_)});
-      }
-    }
-    return out;
-  }
-
- private:
-  const FlatTrustStore& store_;
-  trust::Normalizer normalizer_;
-};
-
-// ------------------------------------------------------------------------
-// Shared fixture: Google+ world, both stores populated identically — for
-// every directed edge (u, v), the records u holds about v's experienced
-// tasks.
+// Shared fixture: Google+ world and a pair-major store holding, for every
+// directed edge (u, v), the records u holds about v's experienced tasks.
 // ------------------------------------------------------------------------
 
 struct Fixture {
   graph::SocialDataset dataset;
   sim::SiotWorld world;
   trust::Normalizer normalizer{trust::NormalizationRange::kUnit, 1.0};
-  FlatTrustStore flat_store;
   trust::TrustStore pair_store;
   std::vector<std::pair<trust::AgentId, trust::TaskId>> queries;
 
@@ -129,7 +56,6 @@ struct Fixture {
           // G=1, D=1, C=0 equals 2S−1, and N maps [-2,1] → [0,1].
           const double s = (3.0 * exp.trustworthiness - 1.0) / 2.0;
           const trust::OutcomeEstimates estimates{s, 1.0, 1.0, 0.0};
-          flat_store.Put(u, v, exp.task, estimates);
           pair_store.Put(u, v, exp.task, estimates);
         }
       }
@@ -158,47 +84,25 @@ trust::TransitivityParams SweepParams() {
   return params;
 }
 
-bool SameResult(const trust::TransitivityResult& a,
-                const trust::TransitivityResult& b) {
-  if (a.inquired_nodes != b.inquired_nodes ||
-      a.trustees.size() != b.trustees.size()) {
-    return false;
+/// The tasks the fixture's queries ask for (PrepareTasks dedupes them).
+std::vector<trust::TaskId> QueriedTasks() {
+  std::vector<trust::TaskId> tasks;
+  for (const auto& query : Fixture::Get().queries) {
+    tasks.push_back(query.second);
   }
-  for (std::size_t i = 0; i < a.trustees.size(); ++i) {
-    if (a.trustees[i].agent != b.trustees[i].agent ||
-        a.trustees[i].trustworthiness != b.trustees[i].trustworthiness ||
-        a.trustees[i].per_characteristic !=
-            b.trustees[i].per_characteristic) {
-      return false;
-    }
-  }
-  return true;
+  return tasks;
 }
 
-double MillisPerQuery(const trust::TransitivitySearch& search,
-                      std::size_t query_count,
-                      std::vector<trust::TransitivityResult>* results) {
-  const Fixture& fixture = Fixture::Get();
-  const auto start = std::chrono::steady_clock::now();
-  for (std::size_t q = 0; q < query_count; ++q) {
-    for (const trust::TransitivityMethod method :
-         sim::kAllTransitivityMethods) {
-      const auto& [trustor, task] =
-          fixture.queries[q % fixture.queries.size()];
-      auto result = search.FindPotentialTrustees(
-          trustor, fixture.world.catalog().Get(task), method);
-      if (results != nullptr) results->push_back(std::move(result));
-    }
-  }
-  const auto elapsed = std::chrono::steady_clock::now() - start;
-  return std::chrono::duration<double, std::milli>(elapsed).count() /
-         static_cast<double>(query_count * 3);
+double MillisSince(std::chrono::steady_clock::time_point start) {
+  return std::chrono::duration<double, std::milli>(
+             std::chrono::steady_clock::now() - start)
+      .count();
 }
 
 void PrintReproduction() {
   bench::PrintBanner(
       "Store scaling",
-      "Pair-major TrustStore + overlay snapshot vs the flat-scan baseline "
+      "Pair-major TrustStore, overlay snapshot and prepared hop caches "
       "(§5.5 workload)");
   const Fixture& fixture = Fixture::Get();
   std::printf(
@@ -207,51 +111,37 @@ void PrintReproduction() {
       fixture.dataset.graph.node_count(),
       2 * fixture.dataset.graph.edge_count(), fixture.pair_store.size());
 
-  const FlatScanOverlay flat_overlay(fixture.flat_store, fixture.normalizer);
-  const trust::StoreTrustOverlay pair_overlay(fixture.pair_store,
-                                              fixture.normalizer);
-  const trust::TrustOverlaySnapshot snapshot(fixture.dataset.graph,
-                                             pair_overlay);
-  const trust::TransitivitySearch flat_search(
-      fixture.dataset.graph, fixture.world.catalog(), flat_overlay,
-      SweepParams());
-  const trust::TransitivitySearch pair_search(
-      fixture.dataset.graph, fixture.world.catalog(), pair_overlay,
-      SweepParams());
-  const trust::TransitivitySearch snapshot_search(
-      snapshot, fixture.world.catalog(), SweepParams());
-
-  // The flat baseline is too slow for a long workload, so all three
-  // backends are timed over the SAME query prefix — the speedup column is
-  // a ratio of per-query means of identical work.
-  std::vector<trust::TransitivityResult> flat_results, pair_results,
-      snapshot_results;
-  const std::size_t kQueries = bench::QuickMode() ? 2 : 4;
-  const double flat_ms =
-      MillisPerQuery(flat_search, kQueries, &flat_results);
-  const double pair_ms =
-      MillisPerQuery(pair_search, kQueries, &pair_results);
-  const double snapshot_ms =
-      MillisPerQuery(snapshot_search, kQueries, &snapshot_results);
-
-  bool identical = true;
-  for (std::size_t i = 0; i < flat_results.size(); ++i) {
-    identical = identical && SameResult(flat_results[i], pair_results[i]) &&
-                SameResult(flat_results[i], snapshot_results[i]);
+  const trust::StoreTrustOverlay overlay(fixture.pair_store,
+                                         fixture.normalizer);
+  auto start = std::chrono::steady_clock::now();
+  const trust::TrustOverlaySnapshot snapshot(fixture.dataset.graph, overlay);
+  const double build_ms = MillisSince(start);
+  trust::TransitivitySearch search(snapshot, fixture.world.catalog(),
+                                   SweepParams());
+  start = std::chrono::steady_clock::now();
+  search.PrepareTasks(QueriedTasks());
+  const double prepare_ms = MillisSince(start);
+  start = std::chrono::steady_clock::now();
+  for (const auto& [trustor, task] : fixture.queries) {
+    for (const trust::TransitivityMethod method :
+         sim::kAllTransitivityMethods) {
+      benchmark::DoNotOptimize(search.FindPotentialTrustees(
+          trustor, fixture.world.catalog().Get(task), method));
+    }
   }
+  const double query_ms =
+      MillisSince(start) / static_cast<double>(fixture.queries.size() * 3);
 
-  TextTable table("Transitivity query cost (per query, 3 methods each)");
-  table.SetHeader({"backend", "ms/query", "speedup vs flat"});
-  table.AddRow({"flat-scan store (baseline)", FormatDouble(flat_ms, 3),
-                "1.0"});
-  table.AddRow({"pair-major store", FormatDouble(pair_ms, 3),
-                FormatDouble(flat_ms / pair_ms, 1)});
-  table.AddRow({"overlay snapshot + task cache",
-                FormatDouble(snapshot_ms, 3),
-                FormatDouble(flat_ms / snapshot_ms, 1)});
+  TextTable table("Transitivity pipeline cost (max_hops 5)");
+  table.SetHeader({"stage", "ms"});
+  table.AddRow({"overlay snapshot build (every directed edge)",
+                FormatDouble(build_ms, 2)});
+  table.AddRow({"PrepareTasks (the queried tasks)",
+                FormatDouble(prepare_ms, 2)});
+  table.AddRow({"prepared query (mean over 3 methods)",
+                FormatDouble(query_ms, 3)});
   std::fputs(table.Render().c_str(), stdout);
-  std::printf("results identical across backends: %s\n\n",
-              identical ? "yes" : "NO — BUG");
+  std::printf("\n");
 
   // Parallel runner: full §5.5 experiment on the same dataset, wall-clock
   // by thread count, asserting bit-identical outputs.
@@ -302,18 +192,6 @@ void PrintReproduction() {
 
 // ------------------------------------------------------------- kernels --
 
-void BM_ExperiencedTasksFlatScan(benchmark::State& state) {
-  const Fixture& fixture = Fixture::Get();
-  Rng rng(3);
-  const std::size_t n = fixture.dataset.graph.node_count();
-  for (auto _ : state) {
-    const auto u = static_cast<trust::AgentId>(rng.NextBounded(n));
-    const auto v = static_cast<trust::AgentId>(rng.NextBounded(n));
-    benchmark::DoNotOptimize(fixture.flat_store.ExperiencedTasks(u, v));
-  }
-}
-BENCHMARK(BM_ExperiencedTasksFlatScan);
-
 void BM_ExperiencedTasksPairMajor(benchmark::State& state) {
   const Fixture& fixture = Fixture::Get();
   Rng rng(3);
@@ -326,32 +204,15 @@ void BM_ExperiencedTasksPairMajor(benchmark::State& state) {
 }
 BENCHMARK(BM_ExperiencedTasksPairMajor);
 
-void BM_SearchPairMajor(benchmark::State& state) {
-  const Fixture& fixture = Fixture::Get();
-  const trust::StoreTrustOverlay overlay(fixture.pair_store,
-                                         fixture.normalizer);
-  const trust::TransitivitySearch search(fixture.dataset.graph,
-                                         fixture.world.catalog(), overlay,
-                                         SweepParams());
-  const auto method = static_cast<trust::TransitivityMethod>(state.range(0));
-  std::size_t q = 0;
-  for (auto _ : state) {
-    const auto& [trustor, task] =
-        fixture.queries[q++ % fixture.queries.size()];
-    benchmark::DoNotOptimize(search.FindPotentialTrustees(
-        trustor, fixture.world.catalog().Get(task), method));
-  }
-}
-BENCHMARK(BM_SearchPairMajor)->Arg(0)->Arg(1)->Arg(2);
-
 void BM_SearchSnapshot(benchmark::State& state) {
   const Fixture& fixture = Fixture::Get();
   const trust::StoreTrustOverlay overlay(fixture.pair_store,
                                          fixture.normalizer);
   const trust::TrustOverlaySnapshot snapshot(fixture.dataset.graph,
                                              overlay);
-  const trust::TransitivitySearch search(snapshot, fixture.world.catalog(),
-                                         SweepParams());
+  trust::TransitivitySearch search(snapshot, fixture.world.catalog(),
+                                   SweepParams());
+  search.PrepareTasks(QueriedTasks());
   const auto method = static_cast<trust::TransitivityMethod>(state.range(0));
   std::size_t q = 0;
   for (auto _ : state) {

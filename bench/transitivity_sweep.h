@@ -1,19 +1,42 @@
 // Copyright 2026 The siot-trust Authors.
 // Shared sweep for Figs. 9–11: the §5.5 transitivity experiment over
-// characteristic counts {4,5,6,7} × three networks × three methods.
+// characteristic counts {4,5,6,7} × three networks × three methods; and
+// the prepared search the Figs. 9, 11 and 12 kernel timings query.
 
 #ifndef SIOT_BENCH_TRANSITIVITY_SWEEP_H_
 #define SIOT_BENCH_TRANSITIVITY_SWEEP_H_
 
 #include <cstdio>
+#include <numeric>
+#include <utility>
 #include <vector>
 
 #include "common/string_util.h"
 #include "common/table.h"
 #include "graph/datasets.h"
+#include "sim/network_setup.h"
 #include "sim/transitivity_experiment.h"
+#include "trust/overlay_snapshot.h"
+#include "trust/transitivity.h"
 
 namespace siot::bench {
+
+/// A snapshot of `world`'s direct experiences and a search over it with
+/// every catalog task prepared, so the timed loop measures queries only.
+/// `graph` and `world` must outlive it.
+struct PreparedWorldSearch {
+  PreparedWorldSearch(const graph::Graph& graph, const sim::SiotWorld& world,
+                      trust::TransitivityParams params)
+      : snapshot(graph, world),
+        search(snapshot, world.catalog(), std::move(params)) {
+    std::vector<trust::TaskId> tasks(world.catalog().size());
+    std::iota(tasks.begin(), tasks.end(), trust::TaskId{0});
+    search.PrepareTasks(tasks);
+  }
+
+  trust::TrustOverlaySnapshot snapshot;
+  trust::TransitivitySearch search;
+};
 
 struct SweepPoint {
   graph::SocialNetwork network;

@@ -8,7 +8,7 @@
 // weather. The r(·) update (Eq. 29) removes the weather from the
 // evaluation and keeps the honest cameras trusted.
 //
-// Build: cmake --build build && ./build/examples/adaptive_streetlights
+// Build: cmake --build build && ./build/examples/example_adaptive_streetlights
 
 #include <cstdio>
 #include <vector>

@@ -6,7 +6,7 @@
 // fragment-packet attack stretch a trustor's radio window, and collect
 // reports at the coordinator the way the paper's CP2102 host link does.
 //
-// Build: cmake --build build && ./build/examples/iot_testbed_tour
+// Build: cmake --build build && ./build/examples/example_iot_testbed_tour
 
 #include <cstdio>
 

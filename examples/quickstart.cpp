@@ -8,7 +8,7 @@
 // evolve — including the trustee's reverse evaluation locking out an
 // abusive second trustor.
 //
-// Build: cmake --build build && ./build/examples/quickstart
+// Build: cmake --build build && ./build/examples/example_quickstart
 
 #include <cstdio>
 

@@ -7,7 +7,7 @@
 // contrasts the traditional exact-task transfer (Eq. 5) with the paper's
 // conservative and aggressive characteristic-based schemes (Eqs. 7–17).
 //
-// Build: cmake --build build && ./build/examples/service_discovery
+// Build: cmake --build build && ./build/examples/example_service_discovery
 
 #include <cstdio>
 
@@ -15,6 +15,7 @@
 #include "common/string_util.h"
 #include "graph/datasets.h"
 #include "sim/network_setup.h"
+#include "trust/overlay_snapshot.h"
 #include "trust/transitivity.h"
 
 using namespace siot;
@@ -45,8 +46,11 @@ int main() {
   params.omega1 = 0.5;  // recommendation gate (§4.3)
   params.omega2 = 0.0;  // rank every covered candidate
   params.max_hops = 5;
-  const trust::TransitivitySearch search(dataset.graph, world.catalog(),
-                                         world, params);
+  // Capture the world's direct experiences once, then prepare the hop
+  // caches for the requested task before querying.
+  const trust::TrustOverlaySnapshot snapshot(dataset.graph, world);
+  trust::TransitivitySearch search(snapshot, world.catalog(), params);
+  search.PrepareTasks({request});
 
   // Request from a well-connected node (the "ego" of a big circle).
   trust::AgentId requester = 0;

@@ -11,7 +11,7 @@
 // requesters (θ = 0.5), and prints how much camera abuse each world
 // tolerates.
 //
-// Build: cmake --build build && ./build/examples/smart_home_camera
+// Build: cmake --build build && ./build/examples/example_smart_home_camera
 
 #include <cstdio>
 #include <vector>

@@ -6,7 +6,7 @@
 // the new task as unrelated; the characteristic-based model infers the
 // trustworthiness from the analogous tasks (Eqs. 2–4).
 //
-// Build: cmake --build build && ./build/examples/traffic_monitoring
+// Build: cmake --build build && ./build/examples/example_traffic_monitoring
 
 #include <cstdio>
 

@@ -127,7 +127,7 @@ class OverlaySnapshotIndex {
   /// shared_ptr, so a swap never invalidates an in-flight query.
   struct Prepared {
     std::shared_ptr<const trust::VersionedOverlaySnapshot> snapshot;
-    /// Sealed: pure-read queries only (trust::TransitivitySearch::Seal).
+    /// Every catalog task prepared, then sealed; queries only read it.
     std::unique_ptr<const trust::TransitivitySearch> search;
     std::chrono::steady_clock::time_point published_at;
     std::size_t prepared_tasks = 0;

@@ -48,7 +48,7 @@ class ParallelRunner {
   /// Runs body(item, worker) for every item in [0, count). Items are
   /// claimed dynamically; worker is in [0, thread_count()) and identifies
   /// which worker runs the call (stable within one item, so per-worker
-  /// scratch state — e.g. a TransitivitySearch with its caches — is safe).
+  /// scratch state is safe).
   /// Blocks until every item completed. `body` must confine its writes to
   /// item- or worker-owned state.
   ///

@@ -1,11 +1,10 @@
 // Copyright 2026 The siot-trust Authors.
 // Edge-indexed snapshot of a trust overlay. The transitivity search (§4.3)
 // only ever asks for the direct experience along directed edges of the
-// social graph, once per hop per query — against a live TrustStore that
-// means re-deriving the same per-edge experience lists over and over. A
-// TrustOverlaySnapshot materializes them once, CSR-style, so a hop lookup
-// is a single array index and the per-task caches inside TransitivitySearch
-// can be keyed by the dense directed-edge index.
+// social graph. A TrustOverlaySnapshot materializes those experience lists
+// once, CSR-style, and TransitivitySearch runs only over a snapshot: its
+// per-task hop caches, filled by PrepareTasks, are indexed by the dense
+// directed-edge index, so a hop lookup during a query is one array index.
 //
 // The snapshot is immutable after construction and safe to share across
 // threads; rebuild it when the underlying store changes.

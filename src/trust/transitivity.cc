@@ -3,7 +3,6 @@
 #include "trust/transitivity.h"
 
 #include <algorithm>
-#include <unordered_map>
 
 #include "common/macros.h"
 #include "trust/overlay_snapshot.h"
@@ -65,8 +64,6 @@ struct HopInfo {
   std::vector<double> per_characteristic;
   /// True if every characteristic of the task is covered on this hop.
   bool complete = false;
-  /// Trustworthiness of the exact task, if the observer has that record.
-  double exact_task = kUnset;
 };
 
 HopInfo MakeHopInfo(const TaskCatalog& catalog, const Task& task,
@@ -82,12 +79,6 @@ HopInfo MakeHopInfo(const TaskCatalog& catalog, const Task& task,
     }
   }
   info.complete = inference.complete;
-  for (const TaskExperience& exp : experiences) {
-    if (exp.task == task.id()) {
-      info.exact_task = exp.trustworthiness;
-      break;
-    }
-  }
   return info;
 }
 
@@ -133,107 +124,24 @@ void ValidateParams(const TransitivityParams& params) {
   SIOT_CHECK(params.max_hops >= 1);
 }
 
-}  // namespace
-
-/// Cross-query caches of per-directed-edge hop information, keyed by task
-/// (snapshot-backed mode only). Vectors are indexed by the snapshot's
-/// dense directed-edge index.
-struct TransitivitySearch::TaskCaches {
-  std::unordered_map<TaskId, std::vector<double>> exact_by_task;
-  std::unordered_map<TaskId, std::vector<HopInfo>> hops_by_task;
-};
-
-TransitivitySearch::TransitivitySearch(const graph::Graph& graph,
-                                       const TaskCatalog& catalog,
-                                       const TrustOverlay& overlay,
-                                       TransitivityParams params)
-    : graph_(graph), catalog_(catalog), overlay_(overlay),
-      params_(std::move(params)) {
-  ValidateParams(params_);
+void SortTrustees(std::vector<PotentialTrustee>& trustees) {
+  std::sort(trustees.begin(), trustees.end(),
+            [](const PotentialTrustee& a, const PotentialTrustee& b) {
+              if (a.trustworthiness != b.trustworthiness) {
+                return a.trustworthiness > b.trustworthiness;
+              }
+              return a.agent < b.agent;
+            });
 }
 
-TransitivitySearch::TransitivitySearch(const TrustOverlaySnapshot& snapshot,
-                                       const TaskCatalog& catalog,
-                                       TransitivityParams params)
-    : graph_(snapshot.graph()), catalog_(catalog), overlay_(snapshot),
-      params_(std::move(params)), snapshot_(&snapshot),
-      caches_(std::make_unique<TaskCaches>()) {
-  ValidateParams(params_);
-}
-
-TransitivitySearch::~TransitivitySearch() = default;
-
-void TransitivitySearch::Seal() {
-  SIOT_CHECK_MSG(snapshot_ != nullptr,
-                 "Seal() applies to snapshot-backed searches only");
-  sealed_ = true;
-}
-
-void TransitivitySearch::PrepareTasks(const std::vector<TaskId>& tasks,
-                                      const PrepareExecutor& executor) {
-  if (snapshot_ == nullptr) return;
-  SIOT_CHECK_MSG(!sealed_, "PrepareTasks on a sealed TransitivitySearch");
-  std::vector<TaskId> distinct = tasks;
-  std::sort(distinct.begin(), distinct.end());
-  distinct.erase(std::unique(distinct.begin(), distinct.end()),
-                 distinct.end());
-  // Insert the (empty) cache slots serially; the heavy fills then write
-  // only their own slot, so they can run concurrently. unordered_map
-  // values are reference-stable across later insertions.
-  struct Slot {
-    TaskId task = kNoTask;
-    std::vector<double>* exact = nullptr;
-    std::vector<HopInfo>* hops = nullptr;
-  };
-  std::vector<Slot> slots;
-  slots.reserve(distinct.size());
-  for (const TaskId task : distinct) {
-    const auto [exact_it, exact_inserted] =
-        caches_->exact_by_task.try_emplace(task);
-    const auto [hops_it, hops_inserted] =
-        caches_->hops_by_task.try_emplace(task);
-    if (!exact_inserted && !hops_inserted) continue;  // already prepared
-    slots.push_back({task, exact_inserted ? &exact_it->second : nullptr,
-                     hops_inserted ? &hops_it->second : nullptr});
-  }
-  const auto build = [this, &slots](std::size_t i) {
-    const Slot& slot = slots[i];
-    const Task& task = catalog_.Get(slot.task);
-    if (slot.exact != nullptr) {
-      BuildExactCache(*snapshot_, task, *slot.exact);
-    }
-    if (slot.hops != nullptr) {
-      BuildHopCache(*snapshot_, catalog_, task, *slot.hops);
-    }
-  };
-  if (executor) {
-    executor(slots.size(), build);
-  } else {
-    for (std::size_t i = 0; i < slots.size(); ++i) build(i);
-  }
-}
-
-TransitivityResult TransitivitySearch::FindPotentialTrustees(
-    AgentId trustor, const Task& task, TransitivityMethod method) const {
-  SIOT_CHECK(trustor < graph_.node_count());
-  switch (method) {
-    case TransitivityMethod::kTraditional:
-      return SearchTraditional(trustor, task);
-    case TransitivityMethod::kConservative:
-      return SearchCharacteristicBased(trustor, task, /*conservative=*/true);
-    case TransitivityMethod::kAggressive:
-      return SearchCharacteristicBased(trustor, task,
-                                       /*conservative=*/false);
-  }
-  return {};
-}
-
-// `exact_tw(u, v, k)` returns the trustworthiness of the exact task along
-// directed edge (u, v) — v being the k-th neighbor of u — or kUnset.
-template <typename ExactFn>
-TransitivityResult TransitivitySearch::TraditionalImpl(
-    AgentId trustor, const Task& task, ExactFn&& exact_tw) const {
-  const std::size_t n = graph_.node_count();
+// `exact[e]` is the trustworthiness of the exact task along directed edge
+// e, or kUnset.
+TransitivityResult SearchTraditional(const TrustOverlaySnapshot& snapshot,
+                                     const TransitivityParams& params,
+                                     AgentId trustor, const Task& task,
+                                     const std::vector<double>& exact) {
+  const graph::Graph& graph = snapshot.graph();
+  const std::size_t n = graph.node_count();
   // best[v]: best Eq. 5 path product from trustor to v over viable hops
   // (every hop holds a record for the exact task).
   std::vector<double> best(n, kUnset);
@@ -241,16 +149,17 @@ TransitivityResult TransitivitySearch::TraditionalImpl(
   best[trustor] = 1.0;
 
   std::vector<bool> reached(n, false);
-  for (std::size_t hop = 0; hop < params_.max_hops; ++hop) {
+  for (std::size_t hop = 0; hop < params.max_hops; ++hop) {
     next = best;
     bool changed = false;
     for (graph::NodeId u = 0; u < n; ++u) {
       if (best[u] == kUnset) continue;
-      const auto neighbors = graph_.Neighbors(u);
+      const auto neighbors = graph.Neighbors(u);
+      const std::size_t first_edge = snapshot.FirstEdge(u);
       for (std::size_t k = 0; k < neighbors.size(); ++k) {
         const graph::NodeId v = neighbors[k];
         if (v == trustor) continue;
-        const double t = exact_tw(u, v, k);
+        const double t = exact[first_edge + k];
         if (t <= 0.0) continue;  // Eq. 5: positive trust transfers freely
         const double candidate = best[u] * t;
         reached[v] = true;
@@ -269,74 +178,24 @@ TransitivityResult TransitivitySearch::TraditionalImpl(
     if (v == trustor) continue;
     if (reached[v]) ++result.inquired_nodes;
     if (best[v] == kUnset) continue;
-    if (params_.trustee_eligible && !params_.trustee_eligible(v)) continue;
+    if (params.trustee_eligible && !params.trustee_eligible(v)) continue;
     PotentialTrustee trustee;
     trustee.agent = v;
     trustee.trustworthiness = best[v];
     trustee.per_characteristic.assign(task.parts().size(), best[v]);
     result.trustees.push_back(std::move(trustee));
   }
-  std::sort(result.trustees.begin(), result.trustees.end(),
-            [](const PotentialTrustee& a, const PotentialTrustee& b) {
-              if (a.trustworthiness != b.trustworthiness) {
-                return a.trustworthiness > b.trustworthiness;
-              }
-              return a.agent < b.agent;
-            });
+  SortTrustees(result.trustees);
   return result;
 }
 
-TransitivityResult TransitivitySearch::SearchTraditional(
-    AgentId trustor, const Task& task) const {
-  if (snapshot_ != nullptr) {
-    // A cache hit is a pure read (shared-search concurrency relies on it);
-    // a miss builds the cache in place — single-threaded callers only,
-    // and a programming error once the search is sealed for sharing.
-    auto it = caches_->exact_by_task.find(task.id());
-    if (it == caches_->exact_by_task.end()) {
-      SIOT_CHECK_MSG(!sealed_,
-                     "query for unprepared task %u on a sealed "
-                     "TransitivitySearch",
-                     static_cast<unsigned>(task.id()));
-      it = caches_->exact_by_task.try_emplace(task.id()).first;
-      BuildExactCache(*snapshot_, task, it->second);
-    }
-    const std::vector<double>& exact = it->second;
-    const TrustOverlaySnapshot& snapshot = *snapshot_;
-    return TraditionalImpl(
-        trustor, task,
-        [&exact, &snapshot](AgentId u, AgentId /*v*/, std::size_t k) {
-          return exact[snapshot.FirstEdge(u) + k];
-        });
-  }
-  // Live overlay: derive exact-task values lazily, once per directed edge
-  // per query.
-  std::unordered_map<std::uint64_t, double> cache;
-  return TraditionalImpl(
-      trustor, task,
-      [this, &task, &cache](AgentId u, AgentId v, std::size_t /*k*/) {
-        const std::uint64_t key = (static_cast<std::uint64_t>(u) << 32) | v;
-        const auto it = cache.find(key);
-        if (it != cache.end()) return it->second;
-        double t = kUnset;
-        for (const TaskExperience& exp : overlay_.DirectExperience(u, v)) {
-          if (exp.task == task.id()) {
-            t = exp.trustworthiness;
-            break;
-          }
-        }
-        cache.emplace(key, t);
-        return t;
-      });
-}
-
-// `hop_info(u, v, k)` returns the HopInfo of directed edge (u, v) — v
-// being the k-th neighbor of u.
-template <typename HopFn>
-TransitivityResult TransitivitySearch::CharacteristicImpl(
+// `hops[e]` is the HopInfo of directed edge e.
+TransitivityResult SearchCharacteristicBased(
+    const TrustOverlaySnapshot& snapshot, const TransitivityParams& params,
     AgentId trustor, const Task& task, bool conservative,
-    HopFn&& hop_info) const {
-  const std::size_t n = graph_.node_count();
+    const std::vector<HopInfo>& hops) {
+  const graph::Graph& graph = snapshot.graph();
+  const std::size_t n = graph.node_count();
   const std::size_t parts = task.parts().size();
 
   // reach[v][i]: best Eq. 7 fold of characteristic i carried to v via
@@ -351,7 +210,7 @@ TransitivityResult TransitivitySearch::CharacteristicImpl(
   // Identity: characteristics start at the trustor un-attenuated.
   // (Represented implicitly: a first hop's value is the hop value itself.)
   std::vector<std::vector<double>> next = reach;
-  for (std::size_t hop = 0; hop < params_.max_hops; ++hop) {
+  for (std::size_t hop = 0; hop < params.max_hops; ++hop) {
     next = reach;
     bool changed = false;
     for (graph::NodeId u = 0; u < n; ++u) {
@@ -366,11 +225,12 @@ TransitivityResult TransitivitySearch::CharacteristicImpl(
         }
         if (!u_active) continue;
       }
-      const auto neighbors = graph_.Neighbors(u);
+      const auto neighbors = graph.Neighbors(u);
+      const std::size_t first_edge = snapshot.FirstEdge(u);
       for (std::size_t k = 0; k < neighbors.size(); ++k) {
         const graph::NodeId v = neighbors[k];
         if (v == trustor) continue;
-        const HopInfo& info = hop_info(u, v, k);
+        const HopInfo& info = hops[first_edge + k];
         // Conservative transitivity requires every hop to cover the whole
         // task (Eq. 8); aggressive lets any covered characteristic hop.
         if (conservative && !info.complete) continue;
@@ -384,7 +244,7 @@ TransitivityResult TransitivitySearch::CharacteristicImpl(
           const double via =
               u_is_source ? t : TwoSidedCombine(upstream, t);
           // Recommendation propagation: gate by omega1.
-          if (t >= params_.omega1) {
+          if (t >= params.omega1) {
             hop_useful = true;
             if (via > next[v][i]) {
               next[v][i] = via;
@@ -392,7 +252,7 @@ TransitivityResult TransitivitySearch::CharacteristicImpl(
             }
           }
           // Trustee terminal hop: gate by omega2.
-          if (t >= params_.omega2) {
+          if (t >= params.omega2) {
             hop_useful = true;
             if (via > trustee_val[v][i]) trustee_val[v][i] = via;
           }
@@ -419,7 +279,7 @@ TransitivityResult TransitivitySearch::CharacteristicImpl(
       }
     }
     if (!complete) continue;
-    if (params_.trustee_eligible && !params_.trustee_eligible(v)) continue;
+    if (params.trustee_eligible && !params.trustee_eligible(v)) continue;
     PotentialTrustee trustee;
     trustee.agent = v;
     trustee.per_characteristic = trustee_val[v];
@@ -431,53 +291,77 @@ TransitivityResult TransitivitySearch::CharacteristicImpl(
     trustee.trustworthiness = combined;
     result.trustees.push_back(std::move(trustee));
   }
-  std::sort(result.trustees.begin(), result.trustees.end(),
-            [](const PotentialTrustee& a, const PotentialTrustee& b) {
-              if (a.trustworthiness != b.trustworthiness) {
-                return a.trustworthiness > b.trustworthiness;
-              }
-              return a.agent < b.agent;
-            });
+  SortTrustees(result.trustees);
   return result;
 }
 
-TransitivityResult TransitivitySearch::SearchCharacteristicBased(
-    AgentId trustor, const Task& task, bool conservative) const {
-  if (snapshot_ != nullptr) {
-    // A cache hit is a pure read (shared-search concurrency relies on it);
-    // a miss builds the cache in place — single-threaded callers only,
-    // and a programming error once the search is sealed for sharing.
-    auto it = caches_->hops_by_task.find(task.id());
-    if (it == caches_->hops_by_task.end()) {
-      SIOT_CHECK_MSG(!sealed_,
-                     "query for unprepared task %u on a sealed "
-                     "TransitivitySearch",
-                     static_cast<unsigned>(task.id()));
-      it = caches_->hops_by_task.try_emplace(task.id()).first;
-      BuildHopCache(*snapshot_, catalog_, task, it->second);
-    }
-    const std::vector<HopInfo>& hops = it->second;
-    const TrustOverlaySnapshot& snapshot = *snapshot_;
-    return CharacteristicImpl(
-        trustor, task, conservative,
-        [&hops, &snapshot](AgentId u, AgentId /*v*/,
-                           std::size_t k) -> const HopInfo& {
-          return hops[snapshot.FirstEdge(u) + k];
-        });
+}  // namespace
+
+/// One task's per-directed-edge hop information, indexed by the
+/// snapshot's dense directed-edge index.
+struct TransitivitySearch::TaskCache {
+  bool prepared = false;
+  /// Exact-task trustworthiness per edge (traditional method).
+  std::vector<double> exact;
+  /// Eq. 4 partial inference per edge (characteristic-based methods).
+  std::vector<HopInfo> hops;
+};
+
+TransitivitySearch::TransitivitySearch(const TrustOverlaySnapshot& snapshot,
+                                       const TaskCatalog& catalog,
+                                       TransitivityParams params)
+    : snapshot_(snapshot), catalog_(catalog), params_(std::move(params)) {
+  ValidateParams(params_);
+}
+
+TransitivitySearch::~TransitivitySearch() = default;
+
+void TransitivitySearch::Seal() { sealed_ = true; }
+
+void TransitivitySearch::PrepareTasks(const std::vector<TaskId>& tasks,
+                                      const PrepareExecutor& executor) {
+  SIOT_CHECK_MSG(!sealed_, "PrepareTasks on a sealed TransitivitySearch");
+  // Claim the slots serially; the heavy fills then write only their own
+  // slot, so they can run concurrently.
+  std::vector<TaskId> pending;
+  for (const TaskId task : tasks) {
+    (void)catalog_.Get(task);  // dies on an id outside the catalog
+    if (task >= caches_.size()) caches_.resize(task + 1);
+    if (caches_[task].prepared) continue;
+    caches_[task].prepared = true;
+    pending.push_back(task);
   }
-  // Live overlay: lazy per-directed-hop info cache, one query's lifetime.
-  std::unordered_map<std::uint64_t, HopInfo> hop_cache;
-  return CharacteristicImpl(
-      trustor, task, conservative,
-      [this, &task, &hop_cache](AgentId u, AgentId v,
-                                std::size_t /*k*/) -> const HopInfo& {
-        const std::uint64_t key = (static_cast<std::uint64_t>(u) << 32) | v;
-        const auto it = hop_cache.find(key);
-        if (it != hop_cache.end()) return it->second;
-        HopInfo info =
-            MakeHopInfo(catalog_, task, overlay_.DirectExperience(u, v));
-        return hop_cache.emplace(key, std::move(info)).first->second;
-      });
+  const auto build = [this, &pending](std::size_t i) {
+    TaskCache& cache = caches_[pending[i]];
+    const Task& task = catalog_.Get(pending[i]);
+    BuildExactCache(snapshot_, task, cache.exact);
+    BuildHopCache(snapshot_, catalog_, task, cache.hops);
+  };
+  if (executor) {
+    executor(pending.size(), build);
+  } else {
+    for (std::size_t i = 0; i < pending.size(); ++i) build(i);
+  }
+}
+
+TransitivityResult TransitivitySearch::FindPotentialTrustees(
+    AgentId trustor, const Task& task, TransitivityMethod method) const {
+  SIOT_CHECK(trustor < snapshot_.graph().node_count());
+  SIOT_CHECK_MSG(task.id() < caches_.size() && caches_[task.id()].prepared,
+                 "query for unprepared task %u on a TransitivitySearch",
+                 static_cast<unsigned>(task.id()));
+  const TaskCache& cache = caches_[task.id()];
+  switch (method) {
+    case TransitivityMethod::kTraditional:
+      return SearchTraditional(snapshot_, params_, trustor, task, cache.exact);
+    case TransitivityMethod::kConservative:
+      return SearchCharacteristicBased(snapshot_, params_, trustor, task,
+                                       /*conservative=*/true, cache.hops);
+    case TransitivityMethod::kAggressive:
+      return SearchCharacteristicBased(snapshot_, params_, trustor, task,
+                                       /*conservative=*/false, cache.hops);
+  }
+  return {};
 }
 
 }  // namespace siot::trust

@@ -28,7 +28,6 @@
 #define SIOT_TRUST_TRANSITIVITY_H_
 
 #include <functional>
-#include <memory>
 #include <vector>
 
 #include "graph/graph.h"
@@ -117,28 +116,19 @@ struct TransitivityResult {
   std::size_t inquired_nodes = 0;
 };
 
-/// Hop-bounded transitivity search over a social graph.
+/// Hop-bounded transitivity search over a TrustOverlaySnapshot.
 ///
-/// Two operating modes:
-///  * Live overlay (first constructor): per-edge hop information is derived
-///    from the overlay lazily within each query. Right when the overlay
-///    mutates between queries (e.g. a live TrustEngine store).
-///  * Snapshot-backed (second constructor): hop information is computed
-///    once per task, keyed by the snapshot's dense directed-edge index, and
-///    reused across every query for that task. This is what the §5.5
-///    experiments use — the same task is searched from hundreds of
-///    trustors. Concurrency: a query for a PREPARED task (PrepareTasks)
-///    only reads the caches, so one search instance may be shared across
-///    threads for prepared tasks; a query for an UNprepared task builds
-///    its cache in place (FindPotentialTrustees is const, the cache is
-///    mutable) and must not run concurrently with any other query.
+/// Hop information (Eq. 4 partial inference and exact-task
+/// trustworthiness per directed edge) is computed once per task by
+/// PrepareTasks, indexed by the snapshot's dense directed-edge index, and
+/// reused by every query for that task — the §5.5 experiments ask the
+/// same few tasks from hundreds of trustors. PrepareTasks is the only
+/// writer of those caches; FindPotentialTrustees only reads them and
+/// dies on a task that was not prepared. So once preparation is done,
+/// one search may be shared by any number of query threads.
 class TransitivitySearch {
  public:
-  /// All references must outlive the search object.
-  TransitivitySearch(const graph::Graph& graph, const TaskCatalog& catalog,
-                     const TrustOverlay& overlay, TransitivityParams params);
-
-  /// Snapshot-backed search with cross-query per-task caches (see above).
+  /// Both references must outlive the search object.
   TransitivitySearch(const TrustOverlaySnapshot& snapshot,
                      const TaskCatalog& catalog, TransitivityParams params);
 
@@ -149,61 +139,31 @@ class TransitivitySearch {
   using PrepareExecutor = std::function<void(
       std::size_t count, const std::function<void(std::size_t)>& fn)>;
 
-  /// Snapshot-backed mode only (no-op otherwise): precomputes the per-task
-  /// caches for `tasks` up front. The per-task builds are independent and
-  /// are handed to `executor` (serial loop when omitted). After
-  /// preparation, FindPotentialTrustees for a prepared task only READS the
-  /// caches, so one search instance may be shared across threads as long
-  /// as every concurrently queried task was prepared.
+  /// Builds the per-task hop caches for every distinct task in `tasks`
+  /// that is not prepared yet. The per-task builds are independent and
+  /// are handed to `executor` (serial loop when omitted). Must not run
+  /// concurrently with a query.
   void PrepareTasks(const std::vector<TaskId>& tasks,
                     const PrepareExecutor& executor = {});
 
-  /// Snapshot-backed mode only: freezes the per-task caches. This is the
-  /// read-only-after-prepare contract made enforceable — after Seal(),
-  ///   * FindPotentialTrustees for a PREPARED task is a pure read (safe
-  ///     to share this object across any number of query threads), and
-  ///   * a query for an UNprepared task, which would otherwise build its
-  ///     cache in place through the mutable caches_ pointer, trips
-  ///     SIOT_CHECK instead of silently mutating shared state, as does a
-  ///     further PrepareTasks call.
-  /// The serving layer seals before publishing a snapshot and keeps only
-  /// a const handle, so a published search cannot be mutated at all.
+  /// Freezes the task set: a later PrepareTasks trips SIOT_CHECK. The
+  /// serving layer seals before publishing a search behind a const
+  /// handle.
   void Seal();
 
-  /// True once Seal() ran (always false in live-overlay mode).
-  bool sealed() const { return sealed_; }
-
   /// Finds potential trustees of `trustor` for `task` under `method`.
+  /// `task` must have been prepared.
   TransitivityResult FindPotentialTrustees(AgentId trustor, const Task& task,
                                            TransitivityMethod method) const;
 
  private:
-  struct TaskCaches;
+  struct TaskCache;
 
-  TransitivityResult SearchTraditional(AgentId trustor,
-                                       const Task& task) const;
-  TransitivityResult SearchCharacteristicBased(AgentId trustor,
-                                               const Task& task,
-                                               bool conservative) const;
-
-  template <typename ExactFn>
-  TransitivityResult TraditionalImpl(AgentId trustor, const Task& task,
-                                     ExactFn&& exact_tw) const;
-  template <typename HopFn>
-  TransitivityResult CharacteristicImpl(AgentId trustor, const Task& task,
-                                        bool conservative,
-                                        HopFn&& hop_info) const;
-
-  const graph::Graph& graph_;
+  const TrustOverlaySnapshot& snapshot_;
   const TaskCatalog& catalog_;
-  const TrustOverlay& overlay_;
   TransitivityParams params_;
-  /// Non-null in snapshot-backed mode.
-  const TrustOverlaySnapshot* snapshot_ = nullptr;
-  /// Per-task caches (snapshot-backed mode only); lazily grown, hence
-  /// mutable — FindPotentialTrustees is logically const. Frozen (no
-  /// growth, asserted) once sealed_ is set.
-  mutable std::unique_ptr<TaskCaches> caches_;
+  /// Indexed by task id; filled only by PrepareTasks.
+  std::vector<TaskCache> caches_;
   bool sealed_ = false;
 };
 

@@ -11,11 +11,11 @@
 //     a different version stamp or one extra outcome changes the bytes;
 //   * the snapshot copies the task catalog, so later admin writes to the
 //     live catalog are invisible to it;
-//   * snapshot-backed transitive queries match live-overlay queries for
-//     every method;
-//   * Seal() makes the read-only-after-prepare contract enforceable:
-//     prepared queries still work, but an unprepared query or a further
-//     PrepareTasks trips SIOT_CHECK instead of mutating shared caches.
+//   * prepared snapshot-backed transitive queries match the live-overlay
+//     reference search for every method;
+//   * a query is a pure read: it serves prepared tasks and trips
+//     SIOT_CHECK on an unprepared one, sealed or not; after Seal() a
+//     further PrepareTasks trips SIOT_CHECK too.
 
 #include "trust/overlay_builder.h"
 
@@ -28,6 +28,7 @@
 
 #include "common/rng.h"
 #include "graph/graph.h"
+#include "tests/support/reference_transitivity.h"
 #include "trust/transitivity.h"
 #include "trust/trust_engine.h"
 
@@ -219,8 +220,8 @@ TEST(VersionedOverlayTest, SnapshotQueriesMatchLiveOverlay) {
   params.omega1 = 0.5;
   params.omega2 = 0.0;
   params.max_hops = 4;
-  const TransitivitySearch live(*graph, fixture.reference.catalog(), overlay,
-                                params);
+  const ReferenceTransitivitySearch live(*graph, fixture.reference.catalog(),
+                                         overlay, params);
   TransitivitySearch frozen(snapshot.snapshot(), snapshot.catalog(), params);
   std::vector<TaskId> all_tasks;
   for (TaskId id = 0; id < snapshot.catalog().size(); ++id) {
@@ -258,10 +259,8 @@ TEST(OverlaySealTest, SealedSearchServesPreparedTasks) {
       graph, fixture.reference.catalog(), fixture.Overlay(),
       SnapshotVersion{{1, 1}});
   TransitivitySearch search(snapshot.snapshot(), snapshot.catalog(), {});
-  EXPECT_FALSE(search.sealed());
   search.PrepareTasks({0, 1});
   search.Seal();
-  EXPECT_TRUE(search.sealed());
   // Prepared tasks keep answering after Seal — pure cache reads.
   const auto result = search.FindPotentialTrustees(
       0, snapshot.catalog().Get(1), TransitivityMethod::kAggressive);
@@ -274,13 +273,22 @@ TEST(OverlaySealTest, UnpreparedQueryOnSealedSearchDies) {
   const VersionedOverlaySnapshot snapshot(
       graph, fixture.reference.catalog(), fixture.Overlay(),
       SnapshotVersion{{1, 1}});
+  // A query never builds a cache: an unprepared task dies whether or not
+  // the search is sealed, for every method.
   TransitivitySearch search(snapshot.snapshot(), snapshot.catalog(), {});
   search.PrepareTasks({0});
+  for (const TransitivityMethod method :
+       {TransitivityMethod::kTraditional, TransitivityMethod::kConservative,
+        TransitivityMethod::kAggressive}) {
+    EXPECT_DEATH((void)search.FindPotentialTrustees(
+                     0, snapshot.catalog().Get(2), method),
+                 "unprepared task 2");
+  }
   search.Seal();
   EXPECT_DEATH((void)search.FindPotentialTrustees(
                    0, snapshot.catalog().Get(2),
                    TransitivityMethod::kAggressive),
-               "sealed");
+               "unprepared task 2");
 }
 
 TEST(OverlaySealTest, PrepareAfterSealDies) {
@@ -293,14 +301,6 @@ TEST(OverlaySealTest, PrepareAfterSealDies) {
   search.PrepareTasks({0});
   search.Seal();
   EXPECT_DEATH(search.PrepareTasks({1}), "sealed");
-}
-
-TEST(OverlaySealTest, SealOnLiveOverlaySearchDies) {
-  const auto graph = RingGraph(kAgents);
-  const ShardedFixture fixture(2);
-  const auto overlay = fixture.Overlay();
-  TransitivitySearch live(*graph, fixture.reference.catalog(), overlay, {});
-  EXPECT_DEATH(live.Seal(), "snapshot-backed");
 }
 
 }  // namespace

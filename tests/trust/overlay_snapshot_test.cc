@@ -1,16 +1,21 @@
 // Copyright 2026 The siot-trust Authors.
 // TrustOverlaySnapshot: edge indexing, capture fidelity, and — most
-// importantly — the snapshot-backed TransitivitySearch must return results
-// identical to the live-overlay search for every method, trustor, and
-// task.
+// importantly — the prepared TransitivitySearch over a snapshot must
+// return results identical to the live-overlay reference search for every
+// method, trustor, and task.
 
 #include "trust/overlay_snapshot.h"
 
 #include <gtest/gtest.h>
 
+#include <functional>
+#include <numeric>
+#include <vector>
+
 #include "common/rng.h"
 #include "graph/datasets.h"
 #include "sim/network_setup.h"
+#include "tests/support/reference_transitivity.h"
 #include "trust/transitivity.h"
 #include "trust/trust_store.h"
 
@@ -70,6 +75,12 @@ TEST(TrustOverlaySnapshotTest, EdgeIndexing) {
   EXPECT_TRUE(snapshot.DirectExperience(0, 0).empty());
 }
 
+std::vector<TaskId> AllTasks(const TaskCatalog& catalog) {
+  std::vector<TaskId> tasks(catalog.size());
+  std::iota(tasks.begin(), tasks.end(), TaskId{0});
+  return tasks;
+}
+
 void ExpectSameSearchResult(const TransitivityResult& a,
                             const TransitivityResult& b) {
   EXPECT_EQ(a.inquired_nodes, b.inquired_nodes);
@@ -92,8 +103,10 @@ TEST(TrustOverlaySnapshotTest, SnapshotSearchMatchesLiveSearch) {
   params.omega1 = 0.5;
   params.omega2 = 0.0;
   params.max_hops = 4;
-  const TransitivitySearch live(graph, world.catalog(), world, params);
-  const TransitivitySearch cached(snapshot, world.catalog(), params);
+  const ReferenceTransitivitySearch live(graph, world.catalog(), world,
+                                         params);
+  TransitivitySearch cached(snapshot, world.catalog(), params);
+  cached.PrepareTasks(AllTasks(world.catalog()));
 
   Rng rng(17);
   for (int i = 0; i < 12; ++i) {
@@ -117,7 +130,8 @@ TEST(TrustOverlaySnapshotTest, RepeatedQueriesHitCacheConsistently) {
   const TrustOverlaySnapshot snapshot(graph, world);
   TransitivityParams params;
   params.max_hops = 3;
-  const TransitivitySearch cached(snapshot, world.catalog(), params);
+  TransitivitySearch cached(snapshot, world.catalog(), params);
+  cached.PrepareTasks({0});
   const Task& task = world.catalog().Get(0);
   for (const TransitivityMethod method :
        {TransitivityMethod::kTraditional, TransitivityMethod::kAggressive}) {
@@ -127,23 +141,25 @@ TEST(TrustOverlaySnapshotTest, RepeatedQueriesHitCacheConsistently) {
   }
 }
 
-TEST(TrustOverlaySnapshotTest, PrepareTasksMatchesLazyBuild) {
+TEST(TrustOverlaySnapshotTest, PrepareTasksWithExecutorMatchesSerial) {
   const sim::SiotWorld world = MakeWorld(5);
   const graph::Graph& graph = Twitter().graph;
   const TrustOverlaySnapshot snapshot(graph, world);
   TransitivityParams params;
   params.max_hops = 4;
   TransitivitySearch prepared(snapshot, world.catalog(), params);
-  const TransitivitySearch lazy(snapshot, world.catalog(), params);
+  TransitivitySearch serial(snapshot, world.catalog(), params);
 
-  std::vector<TaskId> tasks;
-  for (TaskId t = 0; t < world.catalog().size(); ++t) tasks.push_back(t);
+  std::vector<TaskId> tasks = AllTasks(world.catalog());
+  serial.PrepareTasks(tasks);
   tasks.insert(tasks.end(), tasks.begin(), tasks.end());  // dupes are fine
+  // The executor runs the builds in reverse order: each build fills only
+  // its own task's slot, so the order cannot matter.
   std::size_t executed = 0;
   prepared.PrepareTasks(tasks, [&executed](std::size_t count,
                                            const std::function<void(
                                                std::size_t)>& fn) {
-    for (std::size_t i = 0; i < count; ++i) {
+    for (std::size_t i = count; i-- > 0;) {
       fn(i);
       ++executed;
     }
@@ -166,7 +182,7 @@ TEST(TrustOverlaySnapshotTest, PrepareTasksMatchesLazyBuild) {
           TransitivityMethod::kAggressive}) {
       ExpectSameSearchResult(
           prepared.FindPotentialTrustees(trustor, task, method),
-          lazy.FindPotentialTrustees(trustor, task, method));
+          serial.FindPotentialTrustees(trustor, task, method));
     }
   }
 }
@@ -199,8 +215,9 @@ TEST(TrustOverlaySnapshotTest, StoreBackedSnapshotMatchesStoreOverlay) {
 
   TransitivityParams params;
   params.max_hops = 4;
-  const TransitivitySearch live(graph, catalog, overlay, params);
-  const TransitivitySearch cached(snapshot, catalog, params);
+  const ReferenceTransitivitySearch live(graph, catalog, overlay, params);
+  TransitivitySearch cached(snapshot, catalog, params);
+  cached.PrepareTasks({1});
   for (const TransitivityMethod method :
        {TransitivityMethod::kTraditional, TransitivityMethod::kConservative,
         TransitivityMethod::kAggressive}) {

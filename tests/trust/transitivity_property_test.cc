@@ -5,10 +5,14 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
+#include <numeric>
 #include <set>
+#include <vector>
 
 #include "graph/generators.h"
 #include "sim/network_setup.h"
+#include "trust/overlay_snapshot.h"
 #include "trust/transitivity.h"
 
 namespace siot::trust {
@@ -17,6 +21,7 @@ namespace {
 struct WorldFixture {
   graph::Graph graph{0};
   std::unique_ptr<sim::SiotWorld> world;
+  std::unique_ptr<TrustOverlaySnapshot> snapshot;
 
   explicit WorldFixture(std::uint64_t seed, std::size_t chars = 5) {
     Rng rng(seed);
@@ -25,6 +30,18 @@ struct WorldFixture {
     config.characteristic_count = chars;
     world = std::make_unique<sim::SiotWorld>(
         sim::SiotWorld::BuildRandom(graph, config, rng));
+    snapshot = std::make_unique<TrustOverlaySnapshot>(graph, *world);
+  }
+
+  /// A search over the world's snapshot with every catalog task prepared.
+  std::unique_ptr<const TransitivitySearch> Search(
+      TransitivityParams params) const {
+    auto search = std::make_unique<TransitivitySearch>(
+        *snapshot, world->catalog(), std::move(params));
+    std::vector<TaskId> tasks(world->catalog().size());
+    std::iota(tasks.begin(), tasks.end(), TaskId{0});
+    search->PrepareTasks(tasks);
+    return search;
   }
 };
 
@@ -45,17 +62,16 @@ TEST_P(TransitivitySearchProperty, ConservativeSubsetOfAggressive) {
   TransitivityParams params;
   params.omega1 = 0.5;
   params.omega2 = 0.0;
-  const TransitivitySearch search(fixture.graph, fixture.world->catalog(),
-                                  *fixture.world, params);
+  const auto search = fixture.Search(params);
   Rng rng(GetParam() * 17);
   for (int trial = 0; trial < 5; ++trial) {
     const AgentId trustor =
         static_cast<AgentId>(rng.NextBounded(fixture.graph.node_count()));
     const TaskId request = fixture.world->SampleRequest(rng);
     const Task& task = fixture.world->catalog().Get(request);
-    const auto conservative = search.FindPotentialTrustees(
+    const auto conservative = search->FindPotentialTrustees(
         trustor, task, TransitivityMethod::kConservative);
-    const auto aggressive = search.FindPotentialTrustees(
+    const auto aggressive = search->FindPotentialTrustees(
         trustor, task, TransitivityMethod::kAggressive);
     // Every hop viable under the all-characteristics rule is viable under
     // the any-characteristic rule, so conservative trustees are a subset.
@@ -76,17 +92,16 @@ TEST_P(TransitivitySearchProperty, TraditionalSubsetWithoutGates) {
   TransitivityParams params;
   params.omega1 = 0.0;
   params.omega2 = 0.0;
-  const TransitivitySearch search(fixture.graph, fixture.world->catalog(),
-                                  *fixture.world, params);
+  const auto search = fixture.Search(params);
   Rng rng(GetParam() * 31);
   for (int trial = 0; trial < 5; ++trial) {
     const AgentId trustor =
         static_cast<AgentId>(rng.NextBounded(fixture.graph.node_count()));
     const TaskId request = fixture.world->SampleRequest(rng);
     const Task& task = fixture.world->catalog().Get(request);
-    const auto traditional = search.FindPotentialTrustees(
+    const auto traditional = search->FindPotentialTrustees(
         trustor, task, TransitivityMethod::kTraditional);
-    const auto conservative = search.FindPotentialTrustees(
+    const auto conservative = search->FindPotentialTrustees(
         trustor, task, TransitivityMethod::kConservative);
     const auto cons_set = TrusteeSet(conservative);
     for (const AgentId agent : TrusteeSet(traditional)) {
@@ -109,10 +124,8 @@ TEST_P(TransitivitySearchProperty, MoreHopsNeverShrinkTheTrusteeSet) {
     params.omega1 = 0.5;
     params.omega2 = 0.0;
     params.max_hops = hops;
-    const TransitivitySearch search(fixture.graph,
-                                    fixture.world->catalog(),
-                                    *fixture.world, params);
-    const auto result = search.FindPotentialTrustees(
+    const auto search = fixture.Search(params);
+    const auto result = search->FindPotentialTrustees(
         trustor, task, TransitivityMethod::kAggressive);
     EXPECT_GE(result.trustees.size(), previous_count);
     previous_count = result.trustees.size();
@@ -122,8 +135,7 @@ TEST_P(TransitivitySearchProperty, MoreHopsNeverShrinkTheTrusteeSet) {
 TEST_P(TransitivitySearchProperty, ResultsSortedAndDeduplicated) {
   WorldFixture fixture(GetParam() + 120);
   TransitivityParams params;
-  const TransitivitySearch search(fixture.graph, fixture.world->catalog(),
-                                  *fixture.world, params);
+  const auto search = fixture.Search(params);
   Rng rng(GetParam() * 71);
   const AgentId trustor =
       static_cast<AgentId>(rng.NextBounded(fixture.graph.node_count()));
@@ -132,7 +144,7 @@ TEST_P(TransitivitySearchProperty, ResultsSortedAndDeduplicated) {
        {TransitivityMethod::kTraditional,
         TransitivityMethod::kConservative,
         TransitivityMethod::kAggressive}) {
-    const auto result = search.FindPotentialTrustees(
+    const auto result = search->FindPotentialTrustees(
         trustor, fixture.world->catalog().Get(request), method);
     std::set<AgentId> seen;
     double previous = 2.0;
@@ -152,16 +164,15 @@ TEST_P(TransitivitySearchProperty, ResultsSortedAndDeduplicated) {
 TEST_P(TransitivitySearchProperty, DeterministicAcrossCalls) {
   WorldFixture fixture(GetParam() + 160);
   TransitivityParams params;
-  const TransitivitySearch search(fixture.graph, fixture.world->catalog(),
-                                  *fixture.world, params);
+  const auto search = fixture.Search(params);
   Rng rng(GetParam() * 91);
   const AgentId trustor =
       static_cast<AgentId>(rng.NextBounded(fixture.graph.node_count()));
   const TaskId request = fixture.world->SampleRequest(rng);
   const Task& task = fixture.world->catalog().Get(request);
-  const auto first = search.FindPotentialTrustees(
+  const auto first = search->FindPotentialTrustees(
       trustor, task, TransitivityMethod::kAggressive);
-  const auto second = search.FindPotentialTrustees(
+  const auto second = search->FindPotentialTrustees(
       trustor, task, TransitivityMethod::kAggressive);
   ASSERT_EQ(first.trustees.size(), second.trustees.size());
   EXPECT_EQ(first.inquired_nodes, second.inquired_nodes);

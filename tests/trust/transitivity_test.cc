@@ -4,6 +4,11 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
+#include <unordered_map>
+
+#include "trust/overlay_snapshot.h"
+
 namespace siot::trust {
 namespace {
 
@@ -55,7 +60,7 @@ TEST(MethodNameTest, Names) {
 
 // ---------------------------------------------------------------------------
 // Search fixtures. Agents are graph nodes; the overlay is a hand-built
-// table of direct experiences.
+// table of direct experiences, snapshotted when the search is made.
 
 class TableOverlay : public TrustOverlay {
  public:
@@ -91,21 +96,29 @@ class TransitivitySearchTest : public ::testing::Test {
     both_ = catalog_.AddUniform("both", {0, 1}).value();
   }
 
-  TransitivitySearch MakeSearch(const TransitivityParams& params) {
-    return TransitivitySearch(graph_, catalog_, overlay_, params);
+  /// A search over a snapshot of the overlay as it is now, with every
+  /// task prepared. Valid until the next MakeSearch.
+  const TransitivitySearch& MakeSearch(const TransitivityParams& params) {
+    snapshot_ = std::make_unique<TrustOverlaySnapshot>(graph_, overlay_);
+    search_ = std::make_unique<TransitivitySearch>(*snapshot_, catalog_,
+                                                   params);
+    search_->PrepareTasks({gps_, image_, traffic_, both_});
+    return *search_;
   }
 
   graph::Graph graph_{0};
   TaskCatalog catalog_;
   TableOverlay overlay_;
   TaskId gps_, image_, traffic_, both_;
+  std::unique_ptr<TrustOverlaySnapshot> snapshot_;
+  std::unique_ptr<TransitivitySearch> search_;
 };
 
 TEST_F(TransitivitySearchTest, TraditionalExactTaskChain) {
   // 0 trusts 1 for 'traffic', 1 trusts 2 for 'traffic'.
   overlay_.Add(0, 1, traffic_, 0.9);
   overlay_.Add(1, 2, traffic_, 0.8);
-  auto search = MakeSearch({});
+  const auto& search = MakeSearch({});
   const auto result = search.FindPotentialTrustees(
       0, catalog_.Get(traffic_), TransitivityMethod::kTraditional);
   ASSERT_EQ(result.trustees.size(), 2u);
@@ -122,7 +135,7 @@ TEST_F(TransitivitySearchTest, TraditionalIgnoresAnalogousTasks) {
   // task id: traditional transfer is blocked (the paper's limitation 2).
   overlay_.Add(0, 1, traffic_, 0.9);
   overlay_.Add(1, 2, both_, 0.8);
-  auto search = MakeSearch({});
+  const auto& search = MakeSearch({});
   const auto result = search.FindPotentialTrustees(
       0, catalog_.Get(traffic_), TransitivityMethod::kTraditional);
   ASSERT_EQ(result.trustees.size(), 1u);
@@ -133,7 +146,7 @@ TEST_F(TransitivitySearchTest, ConservativeTransfersAnalogousTask) {
   // Same setup: conservative inference covers 'traffic' through 'both'.
   overlay_.Add(0, 1, traffic_, 0.9);
   overlay_.Add(1, 2, both_, 0.8);
-  auto search = MakeSearch({});
+  const auto& search = MakeSearch({});
   const auto result = search.FindPotentialTrustees(
       0, catalog_.Get(traffic_), TransitivityMethod::kConservative);
   ASSERT_EQ(result.trustees.size(), 2u);
@@ -149,7 +162,7 @@ TEST_F(TransitivitySearchTest, ConservativeRequiresFullCoveragePerHop) {
   // gps+image task (Eq. 8).
   overlay_.Add(0, 1, traffic_, 0.9);
   overlay_.Add(1, 2, gps_, 0.8);
-  auto search = MakeSearch({});
+  const auto& search = MakeSearch({});
   const auto result = search.FindPotentialTrustees(
       0, catalog_.Get(traffic_), TransitivityMethod::kConservative);
   ASSERT_EQ(result.trustees.size(), 1u);
@@ -165,7 +178,7 @@ TEST_F(TransitivitySearchTest, AggressiveCombinesCharacteristicsAcrossPaths) {
   overlay_.Add(0, 1, both_, 0.9);
   overlay_.Add(1, 4, gps_, 0.85);
   overlay_.Add(1, 4, image_, 0.75);
-  auto search = MakeSearch({});
+  const auto& search = MakeSearch({});
   const auto result = search.FindPotentialTrustees(
       0, catalog_.Get(traffic_), TransitivityMethod::kAggressive);
   // Node 1 covers both characteristics directly; node 4 via 1.
@@ -187,7 +200,7 @@ TEST_F(TransitivitySearchTest, AggressiveFindsMoreTrusteesThanConservative) {
   overlay_.Add(0, 1, both_, 0.9);
   overlay_.Add(1, 4, gps_, 0.85);
   overlay_.Add(1, 4, image_, 0.75);
-  auto search = MakeSearch({});
+  const auto& search = MakeSearch({});
   const auto aggressive = search.FindPotentialTrustees(
       0, catalog_.Get(traffic_), TransitivityMethod::kAggressive);
   const auto conservative = search.FindPotentialTrustees(
@@ -204,7 +217,7 @@ TEST_F(TransitivitySearchTest, OmegaGatesBlockWeakHops) {
   TransitivityParams params;
   params.omega1 = 0.7;  // recommendation gate
   params.omega2 = 0.7;  // trustee gate
-  auto search = MakeSearch(params);
+  const auto& search = MakeSearch(params);
   const auto result = search.FindPotentialTrustees(
       0, catalog_.Get(traffic_), TransitivityMethod::kConservative);
   // Node 2's final hop (0.55) fails omega2, so only node 1 qualifies.
@@ -218,7 +231,7 @@ TEST_F(TransitivitySearchTest, HopLimitBoundsSearch) {
   overlay_.Add(2, 3, traffic_, 0.9);
   TransitivityParams params;
   params.max_hops = 2;
-  auto search = MakeSearch(params);
+  const auto& search = MakeSearch(params);
   const auto result = search.FindPotentialTrustees(
       0, catalog_.Get(traffic_), TransitivityMethod::kTraditional);
   // Node 3 is 3 hops away: not reached.
@@ -231,7 +244,7 @@ TEST_F(TransitivitySearchTest, TrusteeEligibilityFilter) {
   overlay_.Add(1, 2, traffic_, 0.8);
   TransitivityParams params;
   params.trustee_eligible = [](AgentId agent) { return agent == 2; };
-  auto search = MakeSearch(params);
+  const auto& search = MakeSearch(params);
   const auto result = search.FindPotentialTrustees(
       0, catalog_.Get(traffic_), TransitivityMethod::kTraditional);
   // Node 1 still relays (intermediates unrestricted) but is not listed.
@@ -241,7 +254,7 @@ TEST_F(TransitivitySearchTest, TrusteeEligibilityFilter) {
 }
 
 TEST_F(TransitivitySearchTest, NoExperienceNoTrustees) {
-  auto search = MakeSearch({});
+  const auto& search = MakeSearch({});
   const auto result = search.FindPotentialTrustees(
       0, catalog_.Get(traffic_), TransitivityMethod::kAggressive);
   EXPECT_TRUE(result.trustees.empty());
@@ -264,7 +277,7 @@ TEST_F(TransitivitySearchTest, ZeroOmegaAcceptsCoverageOnly) {
   TransitivityParams params;
   params.omega1 = 0.0;
   params.omega2 = 0.0;
-  auto search = MakeSearch(params);
+  const auto& search = MakeSearch(params);
   const auto result = search.FindPotentialTrustees(
       0, catalog_.Get(traffic_), TransitivityMethod::kConservative);
   EXPECT_EQ(result.trustees.size(), 2u);

@@ -27,6 +27,7 @@
 #include <cstdio>
 #include <filesystem>
 #include <memory>
+#include <numeric>
 #include <string>
 #include <thread>
 #include <vector>
@@ -883,10 +884,13 @@ Status RunTransitServe(const Config& config) {
                     trust::SerializeOverlaySnapshot(reference_snapshot);
 
     // Query equivalence: the follower's sealed snapshot search against a
-    // live-overlay search over the reference engine, across all three
-    // §4.3 methods.
-    const trust::TransitivitySearch reference_search(
-        *social, reference.catalog(), reference_overlay, params);
+    // search prepared over the reference snapshot, across all three §4.3
+    // methods.
+    trust::TransitivitySearch reference_search(
+        reference_snapshot.snapshot(), reference_snapshot.catalog(), params);
+    std::vector<trust::TaskId> all_tasks(task_count);
+    std::iota(all_tasks.begin(), all_tasks.end(), trust::TaskId{0});
+    reference_search.PrepareTasks(all_tasks);
     for (std::size_t q = 0; q < queries; ++q) {
       service::TransitiveTrustRequest request;
       request.trustor = static_cast<trust::AgentId>(query_rng.UniformInt(
@@ -899,7 +903,7 @@ Status RunTransitServe(const Config& config) {
       identical = identical && answer.version == version;
       const trust::TransitivityResult expected =
           reference_search.FindPotentialTrustees(
-              request.trustor, reference.catalog().Get(request.task),
+              request.trustor, reference_snapshot.catalog().Get(request.task),
               request.method);
       if (answer.result.trustees.size() != expected.trustees.size()) {
         identical = false;
