@@ -2,8 +2,6 @@
 
 #include "trust/overlay_snapshot.h"
 
-#include <algorithm>
-
 namespace siot::trust {
 
 TrustOverlaySnapshot::TrustOverlaySnapshot(const graph::Graph& graph,
@@ -25,23 +23,6 @@ TrustOverlaySnapshot::TrustOverlaySnapshot(const graph::Graph& graph,
       edge_offsets_.push_back(experiences_.size());
     }
   }
-}
-
-std::size_t TrustOverlaySnapshot::EdgeIndex(AgentId u, AgentId v) const {
-  if (u >= graph_->node_count()) return kNoEdge;
-  const auto neighbors = graph_->Neighbors(u);
-  const auto it = std::lower_bound(neighbors.begin(), neighbors.end(), v);
-  if (it == neighbors.end() || *it != v) return kNoEdge;
-  return node_offsets_[u] +
-         static_cast<std::size_t>(it - neighbors.begin());
-}
-
-std::vector<TaskExperience> TrustOverlaySnapshot::DirectExperience(
-    AgentId observer, AgentId subject) const {
-  const std::size_t edge = EdgeIndex(observer, subject);
-  if (edge == kNoEdge) return {};
-  const auto experiences = Experiences(edge);
-  return std::vector<TaskExperience>(experiences.begin(), experiences.end());
 }
 
 }  // namespace siot::trust

@@ -20,12 +20,11 @@
 
 namespace siot::trust {
 
-/// Immutable per-directed-edge materialization of a TrustOverlay.
-class TrustOverlaySnapshot : public TrustOverlay {
+/// Immutable per-directed-edge materialization of a TrustOverlay. Edge
+/// (u, v) is addressed only by its dense index, FirstEdge(u) + k for the
+/// k-th neighbor v of u.
+class TrustOverlaySnapshot {
  public:
-  /// Sentinel for "no such directed edge".
-  static constexpr std::size_t kNoEdge = static_cast<std::size_t>(-1);
-
   /// Captures `source.DirectExperience(u, v)` for every directed edge
   /// (u, v) of `graph`. The graph must outlive the snapshot; `source` is
   /// only read during construction.
@@ -35,10 +34,6 @@ class TrustOverlaySnapshot : public TrustOverlay {
 
   /// Number of directed edges (2 · undirected edge count).
   std::size_t directed_edge_count() const { return edge_offsets_.size() - 1; }
-
-  /// Dense index of directed edge (u, v): FirstEdge(u) + position of v in
-  /// graph().Neighbors(u). kNoEdge when the edge does not exist.
-  std::size_t EdgeIndex(AgentId u, AgentId v) const;
 
   /// Index of node u's first outgoing directed edge; the k-th neighbor of
   /// u (in graph().Neighbors(u) order) is directed edge FirstEdge(u) + k.
@@ -50,11 +45,6 @@ class TrustOverlaySnapshot : public TrustOverlay {
         experiences_.data() + edge_offsets_[edge_index],
         edge_offsets_[edge_index + 1] - edge_offsets_[edge_index]);
   }
-
-  /// TrustOverlay: the captured experiences for (observer, subject); empty
-  /// when they are not adjacent in the graph.
-  std::vector<TaskExperience> DirectExperience(
-      AgentId observer, AgentId subject) const override;
 
  private:
   const graph::Graph* graph_;

@@ -3,6 +3,7 @@
 #include "trust/transitivity.h"
 
 #include <algorithm>
+#include <cstdint>
 
 #include "common/macros.h"
 #include "trust/overlay_snapshot.h"
@@ -57,31 +58,6 @@ namespace {
 
 constexpr double kUnset = -1.0;
 
-/// Per-directed-hop trust information for one target task.
-struct HopInfo {
-  /// Per-task-characteristic inferred value (Eq. 4 inner average);
-  /// kUnset where the observer has no covering experience.
-  std::vector<double> per_characteristic;
-  /// True if every characteristic of the task is covered on this hop.
-  bool complete = false;
-};
-
-HopInfo MakeHopInfo(const TaskCatalog& catalog, const Task& task,
-                    const std::vector<TaskExperience>& experiences) {
-  HopInfo info;
-  const std::size_t parts = task.parts().size();
-  const PartialInference inference = PartialInfer(catalog, task, experiences);
-  info.per_characteristic.assign(parts, kUnset);
-  for (std::size_t i = 0; i < parts; ++i) {
-    const CharacteristicId c = task.parts()[i].id;
-    if ((inference.covered >> c) & 1ull) {
-      info.per_characteristic[i] = inference.per_characteristic[i];
-    }
-  }
-  info.complete = inference.complete;
-  return info;
-}
-
 void BuildExactCache(const TrustOverlaySnapshot& snapshot, const Task& task,
                      std::vector<double>& exact) {
   const std::size_t edges = snapshot.directed_edge_count();
@@ -96,17 +72,30 @@ void BuildExactCache(const TrustOverlaySnapshot& snapshot, const Task& task,
   }
 }
 
+// Fills the per-edge hop information of `task`: `per_characteristic`
+// holds at [e · parts + i] the Eq. 4 inner average of part i along directed
+// edge e, or kUnset where the observer has no covering experience;
+// `complete[e]` is true when edge e covers every characteristic.
 void BuildHopCache(const TrustOverlaySnapshot& snapshot,
                    const TaskCatalog& catalog, const Task& task,
-                   std::vector<HopInfo>& hops) {
+                   std::vector<double>& per_characteristic,
+                   std::vector<bool>& complete) {
   const std::size_t edges = snapshot.directed_edge_count();
-  hops.clear();
-  hops.resize(edges);
+  const std::size_t parts = task.parts().size();
+  per_characteristic.assign(edges * parts, kUnset);
+  complete.assign(edges, false);
   std::vector<TaskExperience> experiences;
   for (std::size_t e = 0; e < edges; ++e) {
     const auto span = snapshot.Experiences(e);
     experiences.assign(span.begin(), span.end());
-    hops[e] = MakeHopInfo(catalog, task, experiences);
+    const PartialInference inference =
+        PartialInfer(catalog, task, experiences);
+    for (std::size_t i = 0; i < parts; ++i) {
+      if ((inference.covered >> task.parts()[i].id) & 1ull) {
+        per_characteristic[e * parts + i] = inference.per_characteristic[i];
+      }
+    }
+    complete[e] = inference.complete;
   }
 }
 
@@ -134,6 +123,116 @@ void SortTrustees(std::vector<PotentialTrustee>& trustees) {
             });
 }
 
+/// One thread's query buffers. `reach`, `next` and `trustee_val` are
+/// row-major n × parts arrays (the traditional search uses one column);
+/// `reached` and `queued` are per-node flags. Between queries every value
+/// is kUnset and every flag 0: a query writes only the rows of the nodes
+/// it lists in `touched`, and its lease resets exactly those rows, so a
+/// query never pays for the nodes it does not reach.
+struct Scratch {
+  std::vector<double> reach;
+  std::vector<double> next;
+  std::vector<double> trustee_val;
+  std::vector<std::uint8_t> reached;
+  std::vector<std::uint8_t> queued;
+  /// Nodes whose `reach` rose in the previous hop, ascending.
+  std::vector<graph::NodeId> frontier;
+  /// Nodes whose `next` rose in the current hop.
+  std::vector<graph::NodeId> changed;
+  /// Every node whose rows or flags this query wrote.
+  std::vector<graph::NodeId> touched;
+  /// Set while a ScratchLease holds these buffers.
+  bool busy = false;
+};
+
+/// Lends the calling thread's Scratch to one query, sized for n × parts,
+/// and cleans it when the query ends, also on an exception.
+class ScratchLease {
+ public:
+  ScratchLease(std::size_t n, std::size_t parts)
+      : s_(ThreadScratch()), parts_(parts) {
+    SIOT_CHECK_MSG(!s_.busy,
+                   "TransitivitySearch query from a trustee_eligible callback");
+    s_.busy = true;
+    if (s_.reach.size() < n * parts) {
+      s_.reach.resize(n * parts, kUnset);
+      s_.next.resize(n * parts, kUnset);
+      s_.trustee_val.resize(n * parts, kUnset);
+    }
+    if (s_.reached.size() < n) {
+      s_.reached.resize(n, 0);
+      s_.queued.resize(n, 0);
+    }
+    // Each list holds distinct nodes, so with n reserved no push_back
+    // inside the hop loop can reallocate.
+    s_.frontier.reserve(n);
+    s_.changed.reserve(n);
+    s_.touched.reserve(n);
+  }
+
+  ~ScratchLease() {
+    for (const graph::NodeId v : s_.touched) {
+      const std::size_t row = v * parts_;
+      std::fill_n(s_.reach.begin() + row, parts_, kUnset);
+      std::fill_n(s_.next.begin() + row, parts_, kUnset);
+      std::fill_n(s_.trustee_val.begin() + row, parts_, kUnset);
+      s_.reached[v] = 0;
+      s_.queued[v] = 0;
+    }
+    s_.frontier.clear();
+    s_.changed.clear();
+    s_.touched.clear();
+    s_.busy = false;
+  }
+
+  ScratchLease(const ScratchLease&) = delete;
+  ScratchLease& operator=(const ScratchLease&) = delete;
+
+  Scratch& scratch() { return s_; }
+
+ private:
+  static Scratch& ThreadScratch() {
+    thread_local Scratch scratch;
+    return scratch;
+  }
+
+  Scratch& s_;
+  std::size_t parts_;
+};
+
+void MarkReached(Scratch& s, graph::NodeId v) {
+  if (s.reached[v]) return;
+  s.reached[v] = 1;
+  s.touched.push_back(v);
+}
+
+void MarkChanged(Scratch& s, graph::NodeId v) {
+  if (s.queued[v]) return;
+  s.queued[v] = 1;
+  s.changed.push_back(v);
+}
+
+/// Ends one synchronous hop: copies the rows whose `next` rose back into
+/// `reach` and makes those nodes the next frontier. The frontier is kept
+/// ascending, the order in which a scan over all n nodes meets them, so
+/// equal candidates tie-break as they did in that scan. False when nothing
+/// rose: the search has converged.
+bool AdvanceFrontier(Scratch& s, std::size_t parts) {
+  for (const graph::NodeId v : s.changed) {
+    std::copy_n(s.next.begin() + v * parts, parts,
+                s.reach.begin() + v * parts);
+    s.queued[v] = 0;
+  }
+  std::sort(s.changed.begin(), s.changed.end());
+  s.frontier.swap(s.changed);
+  s.changed.clear();
+  return !s.frontier.empty();
+}
+
+// Every hop relaxes only the frontier. A node outside it holds the value
+// it held when it last relaxed, so relaxing it again could only offer
+// candidates its neighbours already hold: values only ever rise.
+//
 // `exact[e]` is the trustworthiness of the exact task along directed edge
 // e, or kUnset.
 TransitivityResult SearchTraditional(const TrustOverlaySnapshot& snapshot,
@@ -141,19 +240,16 @@ TransitivityResult SearchTraditional(const TrustOverlaySnapshot& snapshot,
                                      AgentId trustor, const Task& task,
                                      const std::vector<double>& exact) {
   const graph::Graph& graph = snapshot.graph();
-  const std::size_t n = graph.node_count();
-  // best[v]: best Eq. 5 path product from trustor to v over viable hops
+  ScratchLease lease(graph.node_count(), 1);
+  Scratch& s = lease.scratch();
+  // reach[v]: best Eq. 5 path product from trustor to v over viable hops
   // (every hop holds a record for the exact task).
-  std::vector<double> best(n, kUnset);
-  std::vector<double> next(n, kUnset);
-  best[trustor] = 1.0;
-
-  std::vector<bool> reached(n, false);
+  s.reach[trustor] = 1.0;
+  s.next[trustor] = 1.0;
+  s.touched.push_back(trustor);
+  s.frontier.push_back(trustor);
   for (std::size_t hop = 0; hop < params.max_hops; ++hop) {
-    next = best;
-    bool changed = false;
-    for (graph::NodeId u = 0; u < n; ++u) {
-      if (best[u] == kUnset) continue;
+    for (const graph::NodeId u : s.frontier) {
       const auto neighbors = graph.Neighbors(u);
       const std::size_t first_edge = snapshot.FirstEdge(u);
       for (std::size_t k = 0; k < neighbors.size(); ++k) {
@@ -161,84 +257,71 @@ TransitivityResult SearchTraditional(const TrustOverlaySnapshot& snapshot,
         if (v == trustor) continue;
         const double t = exact[first_edge + k];
         if (t <= 0.0) continue;  // Eq. 5: positive trust transfers freely
-        const double candidate = best[u] * t;
-        reached[v] = true;
-        if (candidate > next[v]) {
-          next[v] = candidate;
-          changed = true;
+        const double candidate = s.reach[u] * t;
+        MarkReached(s, v);
+        if (candidate > s.next[v]) {
+          s.next[v] = candidate;
+          MarkChanged(s, v);
         }
       }
     }
-    best.swap(next);
-    if (!changed) break;
+    if (!AdvanceFrontier(s, 1)) break;
   }
 
   TransitivityResult result;
-  for (graph::NodeId v = 0; v < n; ++v) {
+  std::sort(s.touched.begin(), s.touched.end());
+  for (const graph::NodeId v : s.touched) {
     if (v == trustor) continue;
-    if (reached[v]) ++result.inquired_nodes;
-    if (best[v] == kUnset) continue;
+    ++result.inquired_nodes;
+    if (s.reach[v] == kUnset) continue;
     if (params.trustee_eligible && !params.trustee_eligible(v)) continue;
     PotentialTrustee trustee;
     trustee.agent = v;
-    trustee.trustworthiness = best[v];
-    trustee.per_characteristic.assign(task.parts().size(), best[v]);
+    trustee.trustworthiness = s.reach[v];
+    trustee.per_characteristic.assign(task.parts().size(), s.reach[v]);
     result.trustees.push_back(std::move(trustee));
   }
   SortTrustees(result.trustees);
   return result;
 }
 
-// `hops[e]` is the HopInfo of directed edge e.
+// Frontier-driven like SearchTraditional. `hop_values` and `complete` are
+// the task's BuildHopCache arrays.
 TransitivityResult SearchCharacteristicBased(
     const TrustOverlaySnapshot& snapshot, const TransitivityParams& params,
     AgentId trustor, const Task& task, bool conservative,
-    const std::vector<HopInfo>& hops) {
+    const std::vector<double>& hop_values, const std::vector<bool>& complete) {
   const graph::Graph& graph = snapshot.graph();
-  const std::size_t n = graph.node_count();
   const std::size_t parts = task.parts().size();
+  ScratchLease lease(graph.node_count(), parts);
+  Scratch& s = lease.scratch();
 
-  // reach[v][i]: best Eq. 7 fold of characteristic i carried to v via
-  // recommendation hops (each hop value >= omega1). trustee_val[v][i]: best
-  // value whose FINAL hop satisfies the trustee gate omega2.
-  std::vector<std::vector<double>> reach(n,
-                                         std::vector<double>(parts, kUnset));
-  std::vector<std::vector<double>> trustee_val(
-      n, std::vector<double>(parts, kUnset));
-  std::vector<bool> reached(n, false);
-
-  // Identity: characteristics start at the trustor un-attenuated.
-  // (Represented implicitly: a first hop's value is the hop value itself.)
-  std::vector<std::vector<double>> next = reach;
+  // reach row v, column i: best Eq. 7 fold of characteristic i carried to
+  // v via recommendation hops (each hop value >= omega1). trustee_val:
+  // best value whose FINAL hop satisfies the trustee gate omega2.
+  // The trustor is the source: a first hop's value is the hop value itself.
+  s.frontier.push_back(trustor);
   for (std::size_t hop = 0; hop < params.max_hops; ++hop) {
-    next = reach;
-    bool changed = false;
-    for (graph::NodeId u = 0; u < n; ++u) {
+    for (const graph::NodeId u : s.frontier) {
       const bool u_is_source = (u == trustor);
-      if (!u_is_source) {
-        bool u_active = false;
-        for (std::size_t i = 0; i < parts; ++i) {
-          if (reach[u][i] != kUnset) {
-            u_active = true;
-            break;
-          }
-        }
-        if (!u_active) continue;
-      }
+      const double* upstream_row = s.reach.data() + u * parts;
       const auto neighbors = graph.Neighbors(u);
       const std::size_t first_edge = snapshot.FirstEdge(u);
       for (std::size_t k = 0; k < neighbors.size(); ++k) {
         const graph::NodeId v = neighbors[k];
         if (v == trustor) continue;
-        const HopInfo& info = hops[first_edge + k];
+        const std::size_t e = first_edge + k;
         // Conservative transitivity requires every hop to cover the whole
         // task (Eq. 8); aggressive lets any covered characteristic hop.
-        if (conservative && !info.complete) continue;
+        if (conservative && !complete[e]) continue;
+        const double* hop_row = hop_values.data() + e * parts;
+        double* next_row = s.next.data() + v * parts;
+        double* trustee_row = s.trustee_val.data() + v * parts;
         bool hop_useful = false;
         for (std::size_t i = 0; i < parts; ++i) {
-          const double t = info.per_characteristic[i];
+          const double t = hop_row[i];
           if (t == kUnset) continue;
-          const double upstream = u_is_source ? kUnset : reach[u][i];
+          const double upstream = u_is_source ? kUnset : upstream_row[i];
           if (!u_is_source && upstream == kUnset) continue;
           // Candidate value of characteristic i at v through u.
           const double via =
@@ -246,47 +329,43 @@ TransitivityResult SearchCharacteristicBased(
           // Recommendation propagation: gate by omega1.
           if (t >= params.omega1) {
             hop_useful = true;
-            if (via > next[v][i]) {
-              next[v][i] = via;
-              changed = true;
+            if (via > next_row[i]) {
+              next_row[i] = via;
+              MarkChanged(s, v);
             }
           }
           // Trustee terminal hop: gate by omega2.
           if (t >= params.omega2) {
             hop_useful = true;
-            if (via > trustee_val[v][i]) trustee_val[v][i] = via;
+            if (via > trustee_row[i]) trustee_row[i] = via;
           }
         }
-        if (hop_useful) reached[v] = true;
+        if (hop_useful) MarkReached(s, v);
       }
     }
-    reach.swap(next);
-    if (!changed) break;
+    if (!AdvanceFrontier(s, parts)) break;
   }
 
   TransitivityResult result;
-  for (graph::NodeId v = 0; v < n; ++v) {
-    if (v == trustor) continue;
-    if (reached[v]) ++result.inquired_nodes;
+  std::sort(s.touched.begin(), s.touched.end());
+  for (const graph::NodeId v : s.touched) {
+    ++result.inquired_nodes;
     // Trustee condition: every characteristic arrives through a terminal
     // hop meeting omega2 (conservative paths additionally required full
     // coverage on every hop, enforced above).
-    bool complete = true;
-    for (std::size_t i = 0; i < parts; ++i) {
-      if (trustee_val[v][i] == kUnset) {
-        complete = false;
-        break;
-      }
+    const double* trustee_row = s.trustee_val.data() + v * parts;
+    if (std::find(trustee_row, trustee_row + parts, kUnset) !=
+        trustee_row + parts) {
+      continue;
     }
-    if (!complete) continue;
     if (params.trustee_eligible && !params.trustee_eligible(v)) continue;
     PotentialTrustee trustee;
     trustee.agent = v;
-    trustee.per_characteristic = trustee_val[v];
+    trustee.per_characteristic.assign(trustee_row, trustee_row + parts);
     // Eq. 17: weight-combine the per-characteristic assessments.
     double combined = 0.0;
     for (std::size_t i = 0; i < parts; ++i) {
-      combined += task.parts()[i].weight * trustee_val[v][i];
+      combined += task.parts()[i].weight * trustee_row[i];
     }
     trustee.trustworthiness = combined;
     result.trustees.push_back(std::move(trustee));
@@ -303,8 +382,10 @@ struct TransitivitySearch::TaskCache {
   bool prepared = false;
   /// Exact-task trustworthiness per edge (traditional method).
   std::vector<double> exact;
-  /// Eq. 4 partial inference per edge (characteristic-based methods).
-  std::vector<HopInfo> hops;
+  /// Eq. 4 partial inference, [edge × parts] (characteristic-based
+  /// methods), and per edge whether it covers the whole task.
+  std::vector<double> per_characteristic;
+  std::vector<bool> complete;
 };
 
 TransitivitySearch::TransitivitySearch(const TrustOverlaySnapshot& snapshot,
@@ -335,7 +416,8 @@ void TransitivitySearch::PrepareTasks(const std::vector<TaskId>& tasks,
     TaskCache& cache = caches_[pending[i]];
     const Task& task = catalog_.Get(pending[i]);
     BuildExactCache(snapshot_, task, cache.exact);
-    BuildHopCache(snapshot_, catalog_, task, cache.hops);
+    BuildHopCache(snapshot_, catalog_, task, cache.per_characteristic,
+                  cache.complete);
   };
   if (executor) {
     executor(pending.size(), build);
@@ -351,15 +433,21 @@ TransitivityResult TransitivitySearch::FindPotentialTrustees(
                  "query for unprepared task %u on a TransitivitySearch",
                  static_cast<unsigned>(task.id()));
   const TaskCache& cache = caches_[task.id()];
+  SIOT_CHECK(cache.per_characteristic.size() ==
+             cache.exact.size() * task.parts().size());
   switch (method) {
     case TransitivityMethod::kTraditional:
       return SearchTraditional(snapshot_, params_, trustor, task, cache.exact);
     case TransitivityMethod::kConservative:
       return SearchCharacteristicBased(snapshot_, params_, trustor, task,
-                                       /*conservative=*/true, cache.hops);
+                                       /*conservative=*/true,
+                                       cache.per_characteristic,
+                                       cache.complete);
     case TransitivityMethod::kAggressive:
       return SearchCharacteristicBased(snapshot_, params_, trustor, task,
-                                       /*conservative=*/false, cache.hops);
+                                       /*conservative=*/false,
+                                       cache.per_characteristic,
+                                       cache.complete);
   }
   return {};
 }

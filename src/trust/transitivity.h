@@ -93,7 +93,8 @@ struct TransitivityParams {
   /// Maximum path length in hops (edges).
   std::size_t max_hops = 6;
   /// Optional filter restricting which agents may serve as trustees
-  /// (intermediates are unrestricted). Null accepts every agent.
+  /// (intermediates are unrestricted). Null accepts every agent. It runs
+  /// inside a query and must not itself query a TransitivitySearch.
   std::function<bool(AgentId)> trustee_eligible;
 };
 
@@ -126,6 +127,14 @@ struct TransitivityResult {
 /// writer of those caches; FindPotentialTrustees only reads them and
 /// dies on a task that was not prepared. So once preparation is done,
 /// one search may be shared by any number of query threads.
+///
+/// A query's working arrays are per-thread scratch, reused across queries
+/// and searches and reset row by row for just the nodes the query
+/// reached; once a thread's scratch has grown to the largest n × parts it
+/// has seen, a query allocates only its result. Each hop relaxes only
+/// the frontier, the nodes whose value rose in the previous hop, so a
+/// query costs in proportion to the edges its frontiers cover, not to
+/// n × max_hops.
 class TransitivitySearch {
  public:
   /// Both references must outlive the search object.

@@ -41,9 +41,10 @@ TEST(TrustOverlaySnapshotTest, CapturesDirectExperienceVerbatim) {
   const TrustOverlaySnapshot snapshot(graph, world);
   EXPECT_EQ(snapshot.directed_edge_count(), 2 * graph.edge_count());
   for (graph::NodeId u = 0; u < graph.node_count(); ++u) {
-    for (graph::NodeId v : graph.Neighbors(u)) {
-      const auto live = world.DirectExperience(u, v);
-      const auto captured = snapshot.DirectExperience(u, v);
+    const auto neighbors = graph.Neighbors(u);
+    for (std::size_t k = 0; k < neighbors.size(); ++k) {
+      const auto live = world.DirectExperience(u, neighbors[k]);
+      const auto captured = snapshot.Experiences(snapshot.FirstEdge(u) + k);
       ASSERT_EQ(captured.size(), live.size());
       for (std::size_t i = 0; i < live.size(); ++i) {
         EXPECT_EQ(captured[i].task, live[i].task);
@@ -62,17 +63,22 @@ TEST(TrustOverlaySnapshotTest, EdgeIndexing) {
     EXPECT_EQ(snapshot.FirstEdge(u), running);
     const auto neighbors = graph.Neighbors(u);
     for (std::size_t k = 0; k < neighbors.size(); ++k) {
-      EXPECT_EQ(snapshot.EdgeIndex(u, neighbors[k]), running + k);
+      // The k-th neighbor's edge holds exactly what u observed of it.
+      const auto captured = snapshot.Experiences(snapshot.FirstEdge(u) + k);
+      const auto live = world.DirectExperience(u, neighbors[k]);
+      ASSERT_EQ(captured.size(), live.size())
+          << "edge " << running + k << " = " << u << "->" << neighbors[k];
     }
     running += neighbors.size();
   }
   EXPECT_EQ(running, snapshot.directed_edge_count());
-  // Non-edges and out-of-range observers.
-  EXPECT_EQ(snapshot.EdgeIndex(0, 0), TrustOverlaySnapshot::kNoEdge);
-  EXPECT_EQ(snapshot.EdgeIndex(
-                static_cast<AgentId>(graph.node_count() + 5), 0),
-            TrustOverlaySnapshot::kNoEdge);
-  EXPECT_TRUE(snapshot.DirectExperience(0, 0).empty());
+  // Past the last node, the edge index ends at the directed edge count.
+  EXPECT_EQ(snapshot.FirstEdge(static_cast<AgentId>(graph.node_count())),
+            snapshot.directed_edge_count());
+  // Non-edges have no index: node 0's edges are exactly its neighbors,
+  // and node 0 is not one of them.
+  EXPECT_EQ(snapshot.FirstEdge(1) - snapshot.FirstEdge(0), graph.Degree(0));
+  for (const graph::NodeId v : graph.Neighbors(0)) EXPECT_NE(v, 0u);
 }
 
 std::vector<TaskId> AllTasks(const TaskCatalog& catalog) {

@@ -253,6 +253,25 @@ TEST_F(TransitivitySearchTest, TrusteeEligibilityFilter) {
   EXPECT_EQ(result.inquired_nodes, 2u);
 }
 
+TEST_F(TransitivitySearchTest, QueryFromTrusteeFilterDies) {
+  // A query borrows its thread's scratch buffers; a filter that queried
+  // again on the same thread would corrupt them, so it dies instead.
+  overlay_.Add(0, 1, traffic_, 0.9);
+  TransitivityParams params;
+  const TransitivitySearch* inner = nullptr;
+  params.trustee_eligible = [this, &inner](AgentId agent) {
+    (void)inner->FindPotentialTrustees(agent, catalog_.Get(traffic_),
+                                       TransitivityMethod::kTraditional);
+    return true;
+  };
+  const auto& search = MakeSearch(params);
+  inner = &search;
+  EXPECT_DEATH((void)search.FindPotentialTrustees(
+                   0, catalog_.Get(traffic_),
+                   TransitivityMethod::kTraditional),
+               "trustee_eligible callback");
+}
+
 TEST_F(TransitivitySearchTest, NoExperienceNoTrustees) {
   const auto& search = MakeSearch({});
   const auto result = search.FindPotentialTrustees(
