@@ -5,10 +5,15 @@
 // directed edge, and PrepareTasks turns them into per-task hop caches, so
 // a query is a pure read. This binary times each of those stages for the
 // §5.5 query workload, and shows the parallel runner scaling the full
-// experiment with bit-identical output.
+// experiment with bit-identical output (median of repeated runs, with the
+// process CPU time beside the wall time).
 
+#include <sys/resource.h>
+
+#include <algorithm>
 #include <chrono>
 #include <memory>
+#include <optional>
 #include <thread>
 #include <vector>
 
@@ -99,6 +104,43 @@ double MillisSince(std::chrono::steady_clock::time_point start) {
       .count();
 }
 
+/// CPU time (user + system) this process has used so far, every thread
+/// included, in ms.
+double ProcessCpuMs() {
+  rusage usage{};
+  getrusage(RUSAGE_SELF, &usage);
+  const auto ms = [](const timeval& t) {
+    return static_cast<double>(t.tv_sec) * 1e3 +
+           static_cast<double>(t.tv_usec) / 1e3;
+  };
+  return ms(usage.ru_utime) + ms(usage.ru_stime);
+}
+
+double Median(std::vector<double> values) {
+  std::sort(values.begin(), values.end());
+  const std::size_t mid = values.size() / 2;
+  return values.size() % 2 == 1 ? values[mid]
+                                : 0.5 * (values[mid - 1] + values[mid]);
+}
+
+/// True when two experiment runs report the same tallies and averages.
+bool SameResult(const sim::TransitivityResult& a,
+                const sim::TransitivityResult& b) {
+  if (a.methods.size() != b.methods.size()) return false;
+  for (std::size_t m = 0; m < a.methods.size(); ++m) {
+    const auto& x = a.methods[m];
+    const auto& y = b.methods[m];
+    if (x.tally.successes != y.tally.successes ||
+        x.tally.failures != y.tally.failures ||
+        x.tally.unavailable != y.tally.unavailable ||
+        x.avg_potential_trustees != y.avg_potential_trustees ||
+        x.inquired_per_trustor != y.inquired_per_trustor) {
+      return false;
+    }
+  }
+  return true;
+}
+
 void PrintReproduction() {
   bench::PrintBanner(
       "Store scaling",
@@ -143,50 +185,53 @@ void PrintReproduction() {
   std::fputs(table.Render().c_str(), stdout);
   std::printf("\n");
 
-  // Parallel runner: full §5.5 experiment on the same dataset, wall-clock
-  // by thread count, asserting bit-identical outputs.
+  // Parallel runner: full §5.5 experiment on the same dataset by thread
+  // count, asserting bit-identical outputs. One run's wall time on a shared
+  // VM swings with the host scheduler, so each thread count runs
+  // kScalingRepeats times and the table shows the median wall time, the
+  // median process CPU time beside it (CPU ≈ wall means only one thread
+  // was running at a time) and the speedup of the medians.
+  constexpr int kScalingRepeats = 5;
   sim::TransitivityConfig config;
   config.world.characteristic_count = 6;
   config.seed = 2026;
-  TextTable scaling("Full experiment wall-clock by threads (seed 2026)");
-  scaling.SetHeader({"threads", "ms", "speedup", "identical to serial"});
-  sim::TransitivityResult serial;
+  TextTable scaling(StrFormat(
+      "Full experiment by threads (seed 2026, median of %d runs)",
+      kScalingRepeats));
+  scaling.SetHeader(
+      {"threads", "wall ms", "CPU ms", "speedup", "identical to serial"});
+  std::optional<sim::TransitivityResult> serial;
   double serial_ms = 0.0;
   const std::vector<std::size_t> thread_counts =
       bench::QuickMode() ? std::vector<std::size_t>{1, 2}
                          : std::vector<std::size_t>{1, 2, 4, 8};
   for (const std::size_t threads : thread_counts) {
     config.threads = threads;
-    const auto start = std::chrono::steady_clock::now();
-    const sim::TransitivityResult result =
-        sim::RunTransitivityExperiment(fixture.dataset, config);
-    const auto elapsed = std::chrono::steady_clock::now() - start;
-    const double ms =
-        std::chrono::duration<double, std::milli>(elapsed).count();
+    std::vector<double> wall_ms;
+    std::vector<double> cpu_ms;
     bool same = true;
-    if (threads == 1) {
-      serial = result;
-      serial_ms = ms;
-    } else {
-      for (std::size_t m = 0; m < serial.methods.size(); ++m) {
-        const auto& a = serial.methods[m];
-        const auto& b = result.methods[m];
-        same = same && a.tally.successes == b.tally.successes &&
-               a.tally.failures == b.tally.failures &&
-               a.tally.unavailable == b.tally.unavailable &&
-               a.avg_potential_trustees == b.avg_potential_trustees &&
-               a.inquired_per_trustor == b.inquired_per_trustor;
-      }
+    for (int run = 0; run < kScalingRepeats; ++run) {
+      const double cpu_start = ProcessCpuMs();
+      const auto start = std::chrono::steady_clock::now();
+      const sim::TransitivityResult result =
+          sim::RunTransitivityExperiment(fixture.dataset, config);
+      wall_ms.push_back(MillisSince(start));
+      cpu_ms.push_back(ProcessCpuMs() - cpu_start);
+      if (!serial.has_value()) serial = result;
+      same = same && SameResult(*serial, result);
     }
+    const double ms = Median(wall_ms);
+    if (threads == 1) serial_ms = ms;
     scaling.AddRow({StrFormat("%zu", threads), FormatDouble(ms, 1),
+                    FormatDouble(Median(cpu_ms), 1),
                     FormatDouble(serial_ms / ms, 2),
-                    threads == 1 ? "-" : (same ? "yes" : "NO — BUG")});
+                    same ? "yes" : "NO — BUG"});
   }
   std::fputs(scaling.Render().c_str(), stdout);
   std::printf(
       "hardware threads available: %u — wall-clock speedup is bounded by\n"
       "this; the determinism column must read \"yes\" at every thread "
-      "count.\n",
+      "count\n(at 1 thread it compares the repeats with the first run).\n",
       std::thread::hardware_concurrency());
 }
 

@@ -13,15 +13,18 @@ namespace siot::graph {
 
 Graph ErdosRenyiGnp(std::size_t n, double p, Rng& rng) {
   SIOT_CHECK(p >= 0.0 && p <= 1.0);
-  GraphBuilder builder(n);
-  if (p <= 0.0 || n < 2) return builder.Build();
+  if (p <= 0.0 || n < 2) return Graph(n);
+  std::vector<std::pair<NodeId, NodeId>> edges;
   if (p >= 1.0) {
+    edges.reserve(n * (n - 1) / 2);
     for (NodeId a = 0; a < n; ++a) {
-      for (NodeId b = a + 1; b < n; ++b) builder.AddEdge(a, b);
+      for (NodeId b = a + 1; b < n; ++b) edges.emplace_back(a, b);
     }
-    return builder.Build();
+    return Graph::FromEdgeList(n, edges);
   }
-  // Geometric skipping (Batagelj–Brandes): O(n + m) instead of O(n^2).
+  // Geometric skipping (Batagelj–Brandes): O(n + m) instead of O(n^2). It
+  // visits the pairs (v, w), w < v, in increasing order, so each is drawn
+  // at most once.
   const double log_q = std::log(1.0 - p);
   std::int64_t v = 1;
   std::int64_t w = -1;
@@ -35,10 +38,10 @@ Graph ErdosRenyiGnp(std::size_t n, double p, Rng& rng) {
       ++v;
     }
     if (v < nn) {
-      builder.AddEdge(static_cast<NodeId>(v), static_cast<NodeId>(w));
+      edges.emplace_back(static_cast<NodeId>(v), static_cast<NodeId>(w));
     }
   }
-  return builder.Build();
+  return Graph::FromEdgeList(n, edges);
 }
 
 Graph ErdosRenyiGnm(std::size_t n, std::size_t m, Rng& rng) {
@@ -87,30 +90,39 @@ Graph WattsStrogatz(std::size_t n, std::size_t k, double beta, Rng& rng) {
 Graph BarabasiAlbert(std::size_t n, std::size_t m, Rng& rng) {
   SIOT_CHECK(m >= 1);
   SIOT_CHECK(n > m);
-  GraphBuilder builder(n);
+  std::vector<std::pair<NodeId, NodeId>> edges;
+  edges.reserve(m * n);
   // Repeated-endpoint list: sampling an element uniformly is sampling a
   // node proportional to degree.
   std::vector<NodeId> endpoints;
+  endpoints.reserve(2 * m * n);
   // Seed: star over the first m+1 nodes.
   for (NodeId v = 1; v <= m; ++v) {
-    builder.AddEdge(0, v);
+    edges.emplace_back(0, v);
     endpoints.push_back(0);
     endpoints.push_back(v);
   }
   for (NodeId v = static_cast<NodeId>(m + 1); v < n; ++v) {
+    // v links only to earlier nodes, so the edges it has so far are the
+    // ones drawn in this step: those from `step_begin` on.
+    const auto step_begin = static_cast<std::ptrdiff_t>(edges.size());
     std::size_t added = 0;
     std::size_t guard = 0;
     while (added < m && guard++ < 1000) {
       const NodeId target =
           endpoints[rng.NextBounded(endpoints.size())];
-      if (target == v || builder.HasEdge(v, target)) continue;
-      builder.AddEdge(v, target);
+      if (target == v ||
+          std::any_of(edges.begin() + step_begin, edges.end(),
+                      [target](const auto& e) { return e.second == target; })) {
+        continue;
+      }
+      edges.emplace_back(v, target);
       endpoints.push_back(v);
       endpoints.push_back(target);
       ++added;
     }
   }
-  return builder.Build();
+  return Graph::FromEdgeList(n, edges);
 }
 
 namespace {

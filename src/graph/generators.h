@@ -18,6 +18,9 @@
 namespace siot::graph {
 
 /// G(n, p): each pair independently connected with probability p.
+/// Geometric skipping visits each pair at most once, so the edges go
+/// straight into Graph::FromEdgeList: O(n + E), no hash set. The graph is
+/// byte-identical to the one a GraphBuilder fed the same draws builds.
 Graph ErdosRenyiGnp(std::size_t n, double p, Rng& rng);
 
 /// G(n, m): exactly m distinct edges chosen uniformly.
@@ -27,7 +30,13 @@ Graph ErdosRenyiGnm(std::size_t n, std::size_t m, Rng& rng);
 /// neighbors (k even), each edge rewired with probability beta.
 Graph WattsStrogatz(std::size_t n, std::size_t k, double beta, Rng& rng);
 
-/// Barabási–Albert preferential attachment: each new node attaches m edges.
+/// Barabási–Albert preferential attachment: each new node attaches m edges
+/// (fewer only if 1000 draws in a row give no new target). A new node links
+/// only to earlier nodes, so a draw is checked for duplicates by a scan of
+/// the ≤ m targets of its own step, and the edges go straight into
+/// Graph::FromEdgeList: O(n·m) draws and scans, no hash set. The draws,
+/// and so the graph (byte for byte) and the Rng's final state, are those
+/// of the same generator run through a GraphBuilder.
 Graph BarabasiAlbert(std::size_t n, std::size_t m, Rng& rng);
 
 /// Parameters of the planted-community (ego-circle) generator.

@@ -3,12 +3,55 @@
 #include "graph/graph.h"
 
 #include <algorithm>
+#include <numeric>
 
 #include "common/macros.h"
 
 namespace siot::graph {
 
 Graph::Graph(std::size_t node_count) : offsets_(node_count + 1, 0) {}
+
+template <typename ForEachEdge>
+Graph Graph::FillCsr(std::size_t node_count, ForEachEdge for_each_edge) {
+  Graph g(node_count);
+  for_each_edge([&g](NodeId a, NodeId b) {
+    ++g.offsets_[a + 1];
+    ++g.offsets_[b + 1];
+  });
+  std::partial_sum(g.offsets_.begin(), g.offsets_.end(), g.offsets_.begin());
+  g.neighbors_.resize(g.offsets_.back());
+  std::vector<std::size_t> cursor(g.offsets_.begin(), g.offsets_.end() - 1);
+  for_each_edge([&g, &cursor](NodeId a, NodeId b) {
+    g.neighbors_[cursor[a]++] = b;
+    g.neighbors_[cursor[b]++] = a;
+  });
+  for (std::size_t v = 0; v < node_count; ++v) {
+    std::sort(g.neighbors_.begin() + static_cast<std::ptrdiff_t>(g.offsets_[v]),
+              g.neighbors_.begin() +
+                  static_cast<std::ptrdiff_t>(g.offsets_[v + 1]));
+  }
+  return g;
+}
+
+Graph Graph::FromEdgeList(std::size_t node_count,
+                          std::span<const std::pair<NodeId, NodeId>> edges) {
+  for (const auto& [a, b] : edges) {
+    SIOT_CHECK_MSG(a < node_count && b < node_count,
+                   "edge (%u,%u) out of range for %zu nodes", a, b,
+                   node_count);
+    SIOT_CHECK_MSG(a != b, "self-loop on node %u", a);
+  }
+  Graph g = FillCsr(node_count, [edges](auto&& visit) {
+    for (const auto& [a, b] : edges) visit(a, b);
+  });
+  for (NodeId v = 0; v < node_count; ++v) {
+    const auto nbrs = g.Neighbors(v);
+    const auto dup = std::adjacent_find(nbrs.begin(), nbrs.end());
+    SIOT_CHECK_MSG(dup == nbrs.end(), "edge (%u,%u) listed twice", v,
+                   *dup);
+  }
+  return g;
+}
 
 std::span<const NodeId> Graph::Neighbors(NodeId node) const {
   SIOT_CHECK(node < node_count());
@@ -83,31 +126,12 @@ std::vector<std::pair<NodeId, NodeId>> GraphBuilder::Edges() const {
 }
 
 Graph GraphBuilder::Build() const {
-  Graph g(node_count_);
-  std::vector<std::size_t> degree(node_count_, 0);
-  for (std::uint64_t key : edges_) {
-    ++degree[static_cast<NodeId>(key >> 32)];
-    ++degree[static_cast<NodeId>(key & 0xFFFFFFFFull)];
-  }
-  g.offsets_.assign(node_count_ + 1, 0);
-  for (std::size_t v = 0; v < node_count_; ++v) {
-    g.offsets_[v + 1] = g.offsets_[v] + degree[v];
-  }
-  g.neighbors_.assign(g.offsets_.back(), 0);
-  std::vector<std::size_t> cursor(g.offsets_.begin(),
-                                  g.offsets_.end() - 1);
-  for (std::uint64_t key : edges_) {
-    const auto lo = static_cast<NodeId>(key >> 32);
-    const auto hi = static_cast<NodeId>(key & 0xFFFFFFFFull);
-    g.neighbors_[cursor[lo]++] = hi;
-    g.neighbors_[cursor[hi]++] = lo;
-  }
-  for (NodeId v = 0; v < node_count_; ++v) {
-    std::sort(g.neighbors_.begin() + static_cast<std::ptrdiff_t>(g.offsets_[v]),
-              g.neighbors_.begin() +
-                  static_cast<std::ptrdiff_t>(g.offsets_[v + 1]));
-  }
-  return g;
+  return Graph::FillCsr(node_count_, [this](auto&& visit) {
+    for (std::uint64_t key : edges_) {
+      visit(static_cast<NodeId>(key >> 32),
+            static_cast<NodeId>(key & 0xFFFFFFFFull));
+    }
+  });
 }
 
 }  // namespace siot::graph

@@ -1,8 +1,9 @@
 // Copyright 2026 The siot-trust Authors.
 // Undirected social graph used as the connectivity substrate of the social
-// IoT. Immutable after construction (built via GraphBuilder); adjacency is
-// stored CSR-style with sorted neighbor lists, so neighbor iteration is a
-// contiguous scan and edge queries are binary searches.
+// IoT. Immutable after construction (built via GraphBuilder, or straight
+// from a duplicate-free edge list); adjacency is stored CSR-style with
+// sorted neighbor lists, so neighbor iteration is a contiguous scan and
+// edge queries are binary searches.
 
 #ifndef SIOT_GRAPH_GRAPH_H_
 #define SIOT_GRAPH_GRAPH_H_
@@ -26,6 +27,18 @@ class Graph {
   /// Empty graph with `node_count` isolated nodes.
   explicit Graph(std::size_t node_count = 0);
 
+  /// Builds the graph from an edge list that is already simple: every id
+  /// is < node_count, no edge is a self-loop, and each undirected edge is
+  /// listed once, in either orientation ({a, b} and {b, a} are the same
+  /// edge). A violation aborts (SIOT_CHECK). One CSR fill — degree count,
+  /// prefix sum, scatter, per-row sort — so the cost is O(n + E log d_max)
+  /// time and no memory beyond the graph itself and one n-entry cursor;
+  /// there is no per-edge heap node and no hash probe. The result is
+  /// byte-identical to GraphBuilder::Build() over the same edges. For
+  /// generators whose draws can be checked for duplicates locally.
+  static Graph FromEdgeList(std::size_t node_count,
+                            std::span<const std::pair<NodeId, NodeId>> edges);
+
   std::size_t node_count() const { return offsets_.size() - 1; }
   std::size_t edge_count() const { return neighbors_.size() / 2; }
 
@@ -46,6 +59,12 @@ class Graph {
   friend class GraphBuilder;
 
  private:
+  // The one CSR fill behind FromEdgeList and GraphBuilder::Build.
+  // `for_each_edge(visit)` calls visit(a, b) once per undirected edge and
+  // is run twice (degree count, then scatter).
+  template <typename ForEachEdge>
+  static Graph FillCsr(std::size_t node_count, ForEachEdge for_each_edge);
+
   // offsets_[v]..offsets_[v+1] indexes neighbors_ (CSR).
   std::vector<std::size_t> offsets_;
   std::vector<NodeId> neighbors_;

@@ -2,6 +2,7 @@
 
 #include "trust/inference.h"
 
+#include "common/macros.h"
 #include "common/string_util.h"
 
 namespace siot::trust {
@@ -80,9 +81,8 @@ StatusOr<double> CompleteOrError(const Task& target, const Eq4Sums& sums) {
 
 }  // namespace
 
-PartialInference PartialInfer(
-    const TaskCatalog& catalog, const Task& target,
-    const std::vector<TaskExperience>& experiences) {
+PartialInference PartialInfer(const TaskCatalog& catalog, const Task& target,
+                              std::span<const TaskExperience> experiences) {
   PartialInference out;
   out.per_characteristic.assign(target.parts().size(), 0.0);
   const Eq4Sums sums = Eq4(catalog, target, experiences,
@@ -94,9 +94,19 @@ PartialInference PartialInfer(
   return out;
 }
 
+CharacteristicMask InferPerCharacteristic(
+    const TaskCatalog& catalog, const Task& target,
+    std::span<const TaskExperience> experiences,
+    std::span<double> per_characteristic) {
+  SIOT_CHECK(per_characteristic.size() == target.parts().size());
+  return Eq4(catalog, target, experiences, ExperienceTrustworthiness,
+             per_characteristic.data())
+      .covered;
+}
+
 StatusOr<double> InferTrustworthiness(
     const TaskCatalog& catalog, const Task& target,
-    const std::vector<TaskExperience>& experiences) {
+    std::span<const TaskExperience> experiences) {
   return CompleteOrError(
       target,
       Eq4(catalog, target, experiences, ExperienceTrustworthiness));

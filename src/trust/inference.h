@@ -49,12 +49,22 @@ struct PartialInference {
 /// characteristic of `target` is not covered by any experienced task.
 StatusOr<double> InferTrustworthiness(
     const TaskCatalog& catalog, const Task& target,
-    const std::vector<TaskExperience>& experiences);
+    std::span<const TaskExperience> experiences);
 
 /// Like InferTrustworthiness but never fails: covers what it can and
-/// reports coverage. Used by aggressive transitivity (Eqs. 12–17).
+/// reports coverage, as aggressive transitivity (Eqs. 12–17) reads a hop.
 PartialInference PartialInfer(const TaskCatalog& catalog, const Task& target,
-                              const std::vector<TaskExperience>& experiences);
+                              std::span<const TaskExperience> experiences);
+
+/// PartialInfer's per-characteristic estimates written in place, for
+/// callers that fill a preallocated table: entry i of `per_characteristic`
+/// (aligned with target.parts()) receives the Eq. 4 inner average of every
+/// covered part i and is left untouched otherwise. Returns the covered
+/// mask. Allocates nothing; the values are bitwise PartialInfer's.
+CharacteristicMask InferPerCharacteristic(
+    const TaskCatalog& catalog, const Task& target,
+    std::span<const TaskExperience> experiences,
+    std::span<double> per_characteristic);
 
 /// Status-free Eq. 4 over one (trustor, trustee) pair's records (a
 /// TrustStore::PairRecords span), each experienced task weighing in with

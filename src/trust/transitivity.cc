@@ -4,6 +4,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <span>
 
 #include "common/macros.h"
 #include "trust/overlay_snapshot.h"
@@ -84,18 +85,11 @@ void BuildHopCache(const TrustOverlaySnapshot& snapshot,
   const std::size_t parts = task.parts().size();
   per_characteristic.assign(edges * parts, kUnset);
   complete.assign(edges, false);
-  std::vector<TaskExperience> experiences;
   for (std::size_t e = 0; e < edges; ++e) {
-    const auto span = snapshot.Experiences(e);
-    experiences.assign(span.begin(), span.end());
-    const PartialInference inference =
-        PartialInfer(catalog, task, experiences);
-    for (std::size_t i = 0; i < parts; ++i) {
-      if ((inference.covered >> task.parts()[i].id) & 1ull) {
-        per_characteristic[e * parts + i] = inference.per_characteristic[i];
-      }
-    }
-    complete[e] = inference.complete;
+    const CharacteristicMask covered = InferPerCharacteristic(
+        catalog, task, snapshot.Experiences(e),
+        std::span(per_characteristic).subspan(e * parts, parts));
+    complete[e] = task.CoveredBy(covered);
   }
 }
 

@@ -5,6 +5,11 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
+#include <utility>
+#include <vector>
+
+#include "common/rng.h"
 
 namespace siot::graph {
 namespace {
@@ -143,6 +148,63 @@ TEST(GraphTest, BuilderReusableAfterBuild) {
   const Graph g2 = builder.Build();
   EXPECT_EQ(g1.edge_count(), 1u);
   EXPECT_EQ(g2.edge_count(), 2u);
+}
+
+// On random duplicate-free edge lists — any order, either orientation —
+// the edge-list fill builds exactly what GraphBuilder::Build() builds.
+TEST(GraphFromEdgeListTest, MatchesBuilderOnRandomEdgeLists) {
+  for (std::uint64_t seed = 1; seed <= 40; ++seed) {
+    Rng rng(seed);
+    const std::size_t n = 1 + rng.NextBounded(60);
+    const double p = rng.NextDouble();
+    GraphBuilder builder(n);
+    std::vector<std::pair<NodeId, NodeId>> edges;
+    for (NodeId a = 0; a < n; ++a) {
+      for (NodeId b = a + 1; b < n; ++b) {
+        if (!rng.Bernoulli(p)) continue;
+        builder.AddEdge(a, b);
+        if (rng.Bernoulli(0.5)) {
+          edges.emplace_back(a, b);
+        } else {
+          edges.emplace_back(b, a);
+        }
+      }
+    }
+    rng.Shuffle(edges);
+    const Graph expected = builder.Build();
+    const Graph actual = Graph::FromEdgeList(n, edges);
+    ASSERT_EQ(actual.node_count(), expected.node_count()) << "seed " << seed;
+    ASSERT_EQ(actual.Edges(), expected.Edges()) << "seed " << seed;
+    for (NodeId v = 0; v < n; ++v) {
+      const auto a = actual.Neighbors(v);
+      const auto b = expected.Neighbors(v);
+      ASSERT_TRUE(std::equal(a.begin(), a.end(), b.begin(), b.end()))
+          << "seed " << seed << " row " << v;
+    }
+  }
+}
+
+TEST(GraphFromEdgeListTest, EmptyListGivesIsolatedNodes) {
+  const Graph g = Graph::FromEdgeList(4, {});
+  EXPECT_EQ(g.node_count(), 4u);
+  EXPECT_EQ(g.edge_count(), 0u);
+}
+
+TEST(GraphFromEdgeListTest, DuplicateEdgeDies) {
+  const std::vector<std::pair<NodeId, NodeId>> same{{0, 1}, {1, 2}, {0, 1}};
+  EXPECT_DEATH(Graph::FromEdgeList(3, same), "listed twice");
+  const std::vector<std::pair<NodeId, NodeId>> reversed{{0, 1}, {1, 0}};
+  EXPECT_DEATH(Graph::FromEdgeList(3, reversed), "listed twice");
+}
+
+TEST(GraphFromEdgeListTest, SelfLoopDies) {
+  const std::vector<std::pair<NodeId, NodeId>> edges{{0, 1}, {2, 2}};
+  EXPECT_DEATH(Graph::FromEdgeList(3, edges), "self-loop");
+}
+
+TEST(GraphFromEdgeListTest, OutOfRangeIdDies) {
+  const std::vector<std::pair<NodeId, NodeId>> edges{{0, 1}, {1, 3}};
+  EXPECT_DEATH(Graph::FromEdgeList(3, edges), "out of range");
 }
 
 }  // namespace

@@ -6,11 +6,14 @@
 
 #include <bit>
 #include <cstdint>
+#include <vector>
 
 #include "common/rng.h"
 
 namespace siot::trust {
 namespace {
+
+using Experiences = std::vector<TaskExperience>;
 
 class InferenceTest : public ::testing::Test {
  protected:
@@ -29,7 +32,7 @@ class InferenceTest : public ::testing::Test {
 TEST_F(InferenceTest, SingleCharacteristicFromSingleTask) {
   // Eq. 2: new task's only characteristic seen in one experienced task.
   const auto tw = InferTrustworthiness(catalog_, catalog_.Get(gps_),
-                                       {{nav_, 0.8}});
+                                       Experiences{{nav_, 0.8}});
   ASSERT_TRUE(tw.ok());
   EXPECT_DOUBLE_EQ(tw.value(), 0.8);
 }
@@ -37,7 +40,8 @@ TEST_F(InferenceTest, SingleCharacteristicFromSingleTask) {
 TEST_F(InferenceTest, PaperTrafficExample) {
   // §4.2: traffic = gps + image, inferred from gps-task and image-task.
   const auto tw = InferTrustworthiness(
-      catalog_, catalog_.Get(traffic_), {{gps_, 0.9}, {image_, 0.5}});
+      catalog_, catalog_.Get(traffic_),
+      Experiences{{gps_, 0.9}, {image_, 0.5}});
   ASSERT_TRUE(tw.ok());
   // Equal weights in the target -> simple average.
   EXPECT_DOUBLE_EQ(tw.value(), 0.7);
@@ -46,7 +50,7 @@ TEST_F(InferenceTest, PaperTrafficExample) {
 TEST_F(InferenceTest, UncoveredCharacteristicFails) {
   // Eq. 2's ∀i condition: all characteristics must be covered.
   const auto tw = InferTrustworthiness(catalog_, catalog_.Get(traffic_),
-                                       {{gps_, 0.9}});
+                                       Experiences{{gps_, 0.9}});
   EXPECT_TRUE(tw.status().IsFailedPrecondition());
 }
 
@@ -59,7 +63,7 @@ TEST_F(InferenceTest, Eq4InnerWeightedAverage) {
   // Characteristic 0 appears in nav (weight 0.5) and gps (weight 1.0):
   // estimate = (0.5*tw_nav + 1.0*tw_gps) / 1.5.
   const auto tw = InferTrustworthiness(catalog_, catalog_.Get(gps_),
-                                       {{nav_, 0.6}, {gps_, 0.9}});
+                                       Experiences{{nav_, 0.6}, {gps_, 0.9}});
   ASSERT_TRUE(tw.ok());
   EXPECT_NEAR(tw.value(), (0.5 * 0.6 + 1.0 * 0.9) / 1.5, 1e-12);
 }
@@ -69,14 +73,14 @@ TEST_F(InferenceTest, TargetWeightsCombineCharacteristics) {
   auto weighted =
       Task::Create(99, "weighted", {{0, 2.0}, {1, 1.0}}).value();
   const auto tw = InferTrustworthiness(catalog_, weighted,
-                                       {{gps_, 0.9}, {image_, 0.3}});
+                                       Experiences{{gps_, 0.9}, {image_, 0.3}});
   ASSERT_TRUE(tw.ok());
   EXPECT_NEAR(tw.value(), (2.0 / 3.0) * 0.9 + (1.0 / 3.0) * 0.3, 1e-12);
 }
 
 TEST_F(InferenceTest, PartialInferReportsCoverage) {
   const PartialInference partial = PartialInfer(
-      catalog_, catalog_.Get(traffic_), {{gps_, 0.8}});
+      catalog_, catalog_.Get(traffic_), Experiences{{gps_, 0.8}});
   EXPECT_FALSE(partial.complete);
   EXPECT_EQ(partial.covered, 1ull << 0);
   ASSERT_EQ(partial.per_characteristic.size(), 2u);
@@ -131,7 +135,8 @@ TEST_F(InferenceTest, ConvexCombinationProperty) {
   for (double lo : {0.0, 0.2, 0.5}) {
     for (double hi : {0.6, 0.8, 1.0}) {
       const auto tw = InferTrustworthiness(
-          catalog_, catalog_.Get(traffic_), {{gps_, lo}, {image_, hi}});
+          catalog_, catalog_.Get(traffic_),
+          Experiences{{gps_, lo}, {image_, hi}});
       ASSERT_TRUE(tw.ok());
       EXPECT_GE(tw.value(), lo - 1e-12);
       EXPECT_LE(tw.value(), hi + 1e-12);
@@ -143,9 +148,11 @@ TEST_F(InferenceTest, ConvexCombinationProperty) {
 // a previous task scores lower on any new task containing it.
 TEST_F(InferenceTest, MaliciousHistoryPropagatesToAnalogousTasks) {
   const auto honest = InferTrustworthiness(
-      catalog_, catalog_.Get(traffic_), {{gps_, 0.9}, {image_, 0.9}});
+      catalog_, catalog_.Get(traffic_),
+      Experiences{{gps_, 0.9}, {image_, 0.9}});
   const auto dishonest = InferTrustworthiness(
-      catalog_, catalog_.Get(traffic_), {{gps_, 0.9}, {image_, 0.1}});
+      catalog_, catalog_.Get(traffic_),
+      Experiences{{gps_, 0.9}, {image_, 0.1}});
   ASSERT_TRUE(honest.ok());
   ASSERT_TRUE(dishonest.ok());
   EXPECT_GT(honest.value(), dishonest.value());

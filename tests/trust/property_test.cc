@@ -244,8 +244,8 @@ TEST_P(InferenceProperty, PartialNeverExceedsCoverage) {
   auto target = Task::CreateUniform(99, "target", {0, 1, 2});
   ASSERT_TRUE(target.ok());
   const double tw = rng.NextDouble();
-  const PartialInference partial =
-      PartialInfer(catalog, *target, {{a, tw}});
+  const PartialInference partial = PartialInfer(
+      catalog, *target, std::vector<TaskExperience>{{a, tw}});
   EXPECT_EQ(partial.covered, 1ull);  // only characteristic 0
   EXPECT_FALSE(partial.complete);
   EXPECT_NEAR(partial.trustworthiness, tw, 1e-12);
